@@ -64,7 +64,10 @@ def acd_predict(
     cfg: AcdConfig,
     threads: int = 1,
 ) -> set[ScoredPair]:
-    """Full augmented-cycle-density prediction set for one language pair."""
+    """Full augmented-cycle-density prediction set for one language pair.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     if cfg.pivot in (source_lang, target_lang):
         raise UnknownLanguage(f"pivot {cfg.pivot!r} must differ from source and target")
     g.ids_of_lang(source_lang)

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--bcc-filter", dest="bcc_filter", action="store_const", const=True)
     gen.add_argument("--config")
-    gen.add_argument("--threads", type=int)
+    gen.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     gen.add_argument("--context-depth", dest="context_depth", type=int)
     gen.add_argument("--min-len", dest="min_len", type=int)
     gen.add_argument("--max-len", dest="max_len", type=int)

@@ -1,8 +1,9 @@
 """Reading and writing dictionary, manifest, and prediction files.
 
 Dictionary files are UTF-8 TSV with 4 columns per line: rep_a, pos_a,
-rep_b, pos_b. Blank lines and lines starting with `#` are skipped. The
-two languages are supplied out of band (manifest row or CLI flag).
+rep_b, pos_b. Blank lines and lines starting with `#` are skipped, and a
+leading UTF-8 byte order mark is dropped. The two languages are supplied
+out of band (manifest row or CLI flag).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ class DictionarySpec:
 
 def _data_lines(path):
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise MissingFile(str(path)) from None
     with fh:

@@ -8,7 +8,6 @@ instead translated transitively at confidence 1.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -89,35 +88,89 @@ def cycle_density(g: TranslationGraph, cycle: Sequence[LexicalEntry]) -> float:
     return _induced_density(g, vids)
 
 
-def _enumerate_cycle_ids(g: TranslationGraph, sid: int, c: CycleConstraints) -> list[tuple[int, ...]]:
-    """All simple cycles through `sid`, as canonical id tuples.
+def _ball_nbrs(g: TranslationGraph, dist: dict[int, int]) -> dict[int, list[int]]:
+    """Adjacency lists restricted to the ball whose BFS distances are `dist`."""
+    return {u: [w for w in g.adj(u) if w in dist] for u in dist}
 
-    Depth-first search restricted to the context ball around the source;
-    a partial path is pruned as soon as its length plus the BFS distance
-    back to the source exceeds the cycle length budget. Each cycle is
-    found in both orientations; keeping only paths whose second vertex id
-    is below the last one reports it exactly once.
+
+def _return_via(
+    nbrs: dict[int, list[int]], dist: dict[int, int], sid: int, marked: set[int], limit: int
+) -> dict[int, int]:
+    """Fewest edges from each ball vertex through some marked vertex back to `sid`.
+
+    Bucketed multi-source BFS: a marked vertex `t` starts at `dist[t]`,
+    and each step away from it costs one edge. Walks are not required to
+    be simple, so the result is a lower bound on any cycle completion.
+    Values above `limit` are dropped; a missing vertex cannot finish a
+    cycle within the budget.
     """
-    dist = g.bfs_distances(sid, c.context_depth)
-    nbrs = {u: [w for w in g.adj(u) if w in dist] for u in dist}
+    h = {t: dist[t] for t in marked if dist[t] <= limit}
+    buckets: list[list[int]] = [[] for _ in range(limit + 1)]
+    for t, d in h.items():
+        buckets[d].append(t)
+    for d in range(limit):
+        for u in buckets[d]:
+            if h[u] != d:
+                continue  # reached cheaper after it was queued
+            for w in nbrs[u]:
+                if w != sid and h.get(w, limit + 1) > d + 1:
+                    h[w] = d + 1
+                    buckets[d + 1].append(w)
+    return h
+
+
+def _cycles_holding(
+    nbrs: dict[int, list[int]],
+    dist: dict[int, int],
+    sid: int,
+    c: CycleConstraints,
+    marked: set[int] | dict[int, int],
+    h: dict[int, int],
+) -> list[tuple[int, ...]]:
+    """Bounded simple cycles through `sid` that hold a marked vertex, as id tuples.
+
+    Depth-first search over the ball. Until the path holds a marked
+    vertex, it extends to `w` only if the path length plus `h[w]`, the
+    fewest edges from `w` through a marked vertex back to the source,
+    fits the budget; afterwards the bound is the BFS distance `dist[w]`.
+    Both are lower bounds on the rest of the cycle, so no cycle holding a
+    marked vertex is lost. Each cycle is found in both orientations;
+    keeping only paths whose second vertex id is below the last one
+    reports it exactly once.
+    """
+    min_len, max_len = c.min_len, c.max_len
     cycles: list[tuple[int, ...]] = []
     path = [sid]
     on_path = {sid}
 
-    def extend(v: int):
-        budget = len(path)  # vertices so far
+    def free(v: int):
+        budget = len(path)
         for w in nbrs[v]:
-            if w == sid:
-                if budget >= c.min_len and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w not in on_path and budget + dist[w] <= c.max_len:
+            if w not in on_path and budget + h.get(w, max_len) <= max_len:
                 path.append(w)
                 on_path.add(w)
-                extend(w)
+                if w in marked:
+                    held(w)
+                else:
+                    free(w)
                 on_path.discard(w)
                 path.pop()
 
-    extend(sid)
+    def held(v: int):
+        budget = len(path)
+        if dist[v] == 1 and budget >= min_len and path[1] < v:
+            cycles.append(tuple(path))  # v closes the cycle back to the source
+        if budget == max_len:
+            return
+        for w in nbrs[v]:
+            if w not in on_path and budget + dist[w] <= max_len:
+                path.append(w)
+                on_path.add(w)
+                held(w)
+                on_path.discard(w)
+                path.pop()
+
+    free(sid)
     return cycles
 
 
@@ -131,22 +184,37 @@ def enumerate_cycles(
     neighbors by internal id.
     """
     sid = g.id_of(source)
-    return {tuple(g.entry_of(v) for v in ids) for ids in _enumerate_cycle_ids(g, sid, c)}
+    dist = g.bfs_distances(sid, c.context_depth)
+    # Every ball vertex is marked, so each cycle holds one from its second
+    # vertex on and the search bound is the plain BFS distance.
+    ids = _cycles_holding(_ball_nbrs(g, dist), dist, sid, c, dist, dist)
+    return {tuple(g.entry_of(v) for v in cyc) for cyc in ids}
 
 
 def _cd_for_source(g: TranslationGraph, sid: int, target_lang: str, c: CycleConstraints) -> list[ScoredPair]:
+    """Densest-cycle confidence for every candidate target of one source.
+
+    Candidates are ball vertices of the target language with the source's
+    POS that are neither the source nor adjacent to it. Only cycles that
+    can hold a candidate are searched, and only closed ones are scored.
+    """
     src = g.entry_of(sid)
+    dist = g.bfs_distances(sid, c.context_depth)
     adjacent = g.adj_set(sid)
+    candidates = set()
+    for v in dist:
+        ev = g.entry_of(v)
+        if ev.lang == target_lang and ev.pos == src.pos and v != sid and v not in adjacent:
+            candidates.add(v)
+    if not candidates:
+        return []
+    nbrs = _ball_nbrs(g, dist)
+    h = _return_via(nbrs, dist, sid, candidates, c.max_len - 1)
     best: dict[int, float] = {}
-    for ids in _enumerate_cycle_ids(g, sid, c):
-        density = None
-        for v in ids[1:]:
-            ev = g.entry_of(v)
-            if ev.lang != target_lang or ev.pos != src.pos or v in adjacent:
-                continue
-            if density is None:
-                density = _induced_density(g, ids)
-            if density > best.get(v, -1.0):
+    for ids in _cycles_holding(nbrs, dist, sid, c, candidates, h):
+        density = _induced_density(g, ids)
+        for v in ids:
+            if v in candidates and density > best.get(v, -1.0):
                 best[v] = density
     return [ScoredPair(src, g.entry_of(v), conf, "cycle") for v, conf in best.items()]
 
@@ -161,17 +229,13 @@ def cd_predict(
     """Cycle-density candidates from `source_lang` to `target_lang`.
 
     Scores every non-adjacent same-POS pair sharing at least one
-    constrained cycle; no thresholding here. Per-source work is
-    independent, so it can fan out over a thread pool without changing
-    the result.
+    constrained cycle; no thresholding here. `threads` is accepted for
+    compatibility and has no effect: the search is pure Python under the
+    interpreter lock, so threads cannot speed it up.
     """
     source_ids = g.ids_of_lang(source_lang)
     g.ids_of_lang(target_lang)  # raises UnknownLanguage if absent
     c = p.constraints
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda sid: _cd_for_source(g, sid, target_lang, c), source_ids)
-            return {sp for chunk in chunks for sp in chunk}
     return {sp for sid in source_ids for sp in _cd_for_source(g, sid, target_lang, c)}
 
 

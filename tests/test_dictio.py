@@ -53,6 +53,16 @@ def test_identical_langs_rejected(tmp_path):
         DictionarySpec("x.tsv", "fr", "fr")
 
 
+def test_leading_bom_dropped(tmp_path):
+    bom = "\ufeff"
+    path = write(tmp_path, "d.tsv", bom + "# rep_a\tpos_a\trep_b\tpos_b\nchien\tn\tdog\tn\n")
+    pairs = parse_dictionary(DictionarySpec(path, "fr", "en"))
+    assert pairs == [(LexicalEntry("chien", "fr", "n"), LexicalEntry("dog", "en", "n"))]
+    mpath = write(tmp_path, "m.tsv", bom + "fr\ten\td.tsv\n")
+    (spec,) = parse_manifest(mpath)
+    assert (spec.lang_a, spec.lang_b) == ("fr", "en")
+
+
 def test_manifest_relative_paths(tmp_path):
     write(tmp_path, "d.tsv", "chien\tn\tdog\tn\n")
     mpath = write(tmp_path, "m.tsv", "fr\ten\td.tsv\n")

@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lexinduce import (
     CycleConstraints,
     InferenceParams,
     LexicalEntry,
     ScoredPair,
+    SynthParams,
     UnknownLanguage,
     build_graph,
     cd_predict,
+    generate,
     transitive_predict,
 )
 from oracles import oracle_cd, random_multipartite_graph
@@ -65,6 +69,24 @@ def test_matches_bruteforce_on_random_graphs():
         assert got == oracle_cd(g, src, tgt, PARAMS)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    min_len=st.integers(3, 5),
+    extra=st.integers(0, 3),
+    depth=st.integers(2, 3),
+)
+def test_matches_bruteforce_across_constraints(seed, min_len, extra, depth):
+    max_len = min(min_len + extra, 2 * depth)
+    assume(max_len >= min_len)
+    params = InferenceParams(constraints=CycleConstraints(min_len, max_len, depth))
+    rng = random.Random(seed)
+    g = random_multipartite_graph(rng, rng.randrange(3, 6), rng.randrange(10, 20), 0.35, pos_tags=("n", "v"))
+    src, tgt = rng.sample(g.languages, 2)
+    got = {(sp.source, sp.target): sp.confidence for sp in cd_predict(g, src, tgt, params)}
+    assert got == oracle_cd(g, src, tgt, params)
+
+
 def test_confidence_monotone_in_constraints():
     rng = random.Random(99)
     loose = InferenceParams(constraints=CycleConstraints(4, 6, 3))
@@ -89,12 +111,18 @@ def test_threaded_output_identical():
 
 def test_insertion_order_irrelevant():
     rng = random.Random(6)
-    g = random_multipartite_graph(rng, 3, 18, 0.3)
-    pairs = list(g.edges())
-    rng.shuffle(pairs)
-    g2 = build_graph(pairs, extra_vertices=g.vertices)
-    src, tgt = g.languages[0], g.languages[1]
-    assert cd_predict(g, src, tgt, PARAMS) == cd_predict(g2, src, tgt, PARAMS)
+    # The polysemous instance gives sources many candidates, so shuffled
+    # ids change the search order and which orientation of each cycle is
+    # reported.
+    polysemous = generate(SynthParams(n_langs=5, n_senses=60, polysemy_rate=0.3, seed=6)).graph
+    for g in (random_multipartite_graph(rng, 3, 18, 0.3), polysemous):
+        pairs = list(g.edges())
+        rng.shuffle(pairs)
+        g2 = build_graph(pairs, extra_vertices=g.vertices)
+        src, tgt = g.languages[0], g.languages[1]
+        expected = cd_predict(g, src, tgt, PARAMS)
+        assert expected
+        assert cd_predict(g2, src, tgt, PARAMS) == expected
 
 
 # -- transitive translation -------------------------------------------------
