@@ -10,6 +10,7 @@ generator for oracle testing.
 from .acd import AcdConfig, acd_predict, merge_scored, threshold_filter
 from .dictio import (
     DictionarySpec,
+    parse_dictionaries,
     parse_dictionary,
     parse_manifest,
     read_predictions,
@@ -84,6 +85,7 @@ __all__ = [
     "otic_predict",
     "otic_type_a",
     "otic_type_b",
+    "parse_dictionaries",
     "parse_dictionary",
     "parse_manifest",
     "read_predictions",

@@ -18,6 +18,7 @@ from collections import Counter
 
 from . import dictio
 from .acd import AcdConfig, acd_predict, merge_scored, threshold_filter
+from .entries import normalize_lang
 from .errors import LexinduceError
 from .evaluation import evaluate
 from .graph import build_graph
@@ -93,8 +94,7 @@ def cmd_generate(args) -> int:
     if _resolve(args, config, "bcc_filter", False, lambda s: s.lower() in ("1", "true", "yes")):
         specs = largest_biconnected_language_component(specs)
         log.info("bcc filter kept %d dictionaries", len(specs))
-    pairs = [p for spec in specs for p in dictio.parse_dictionary(spec)]
-    g = build_graph(pairs)
+    g = build_graph(dictio.parse_dictionaries(specs))
     log.info("graph: %d vertices, %d edges", g.vertex_count, g.edge_count)
 
     if algo == "otic":
@@ -140,9 +140,12 @@ def cmd_evaluate(args) -> int:
     gold_pairs = dictio.parse_dictionary(dictio.DictionarySpec(args.gold, args.src, args.tgt))
     vocab = None
     if args.manifest:
-        specs = dictio.parse_manifest(args.manifest)
-        g = build_graph([p for spec in specs for p in dictio.parse_dictionary(spec)])
-        vocab = {lang: g.entries_of_lang(lang) for lang in g.languages}
+        # BWR reads only the source and target vocabularies, so no graph is built.
+        vocab = {normalize_lang(args.src): set(), normalize_lang(args.tgt): set()}
+        for pair in dictio.parse_dictionaries(dictio.parse_manifest(args.manifest)):
+            for entry in pair:
+                if entry.lang in vocab:
+                    vocab[entry.lang].add(entry)
 
     out = open(args.report, "w", encoding="utf-8") if args.report else None
     def emit(line):

@@ -42,23 +42,44 @@ def _data_lines(path):
             yield lineno, line
 
 
+def _entry(cache: dict[tuple[str, str, str], LexicalEntry], lang: str, rep: str, pos: str) -> LexicalEntry:
+    key = (lang, rep, pos)
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = make_entry(rep, lang, pos)
+    return entry
+
+
+def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
+    """Load bilingual dictionary files as entry pairs, deduplicated per file.
+
+    Pairs come in spec order, then line order. Entries are built through
+    one cache, keyed by the raw `(lang, rep, pos)` field text and kept for
+    this call only, so each distinct raw entry is normalized and validated
+    once. Duplicate pairs are still found on the normalized entries.
+    """
+    cache: dict[tuple[str, str, str], LexicalEntry] = {}
+    pairs: list[Pair] = []
+    for spec in specs:
+        seen: set[Pair] = set()
+        for lineno, line in _data_lines(spec.path):
+            cols = line.split("\t")
+            if len(cols) != 4:
+                raise MalformedLine(spec.path, lineno, f"expected 4 columns, got {len(cols)}")
+            rep_a, pos_a, rep_b, pos_b = cols
+            try:
+                pair = (_entry(cache, spec.lang_a, rep_a, pos_a), _entry(cache, spec.lang_b, rep_b, pos_b))
+            except ValueError as exc:
+                raise MalformedLine(spec.path, lineno, str(exc)) from None
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    return pairs
+
+
 def parse_dictionary(spec: DictionarySpec) -> list[Pair]:
     """Load one bilingual dictionary file as deduplicated entry pairs."""
-    pairs: list[Pair] = []
-    seen: set[Pair] = set()
-    for lineno, line in _data_lines(spec.path):
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise MalformedLine(spec.path, lineno, f"expected 4 columns, got {len(cols)}")
-        rep_a, pos_a, rep_b, pos_b = cols
-        try:
-            pair = (make_entry(rep_a, spec.lang_a, pos_a), make_entry(rep_b, spec.lang_b, pos_b))
-        except ValueError as exc:
-            raise MalformedLine(spec.path, lineno, str(exc)) from None
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    return pairs
+    return parse_dictionaries((spec,))
 
 
 def parse_manifest(path) -> list[DictionarySpec]:

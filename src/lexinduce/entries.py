@@ -3,7 +3,8 @@
 An entry is the triple (written form, language code, part-of-speech tag).
 Written forms are normalized with NFC and surrounding whitespace is
 stripped; case is preserved because proper nouns are a supported POS.
-POS tags are opaque tokens, no tagset is enforced.
+POS tags are opaque tokens, no tagset is enforced. Empty fields and NUL
+bytes are rejected.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ class LexicalEntry:
             raise ValueError("empty written form")
         if not self.pos:
             raise ValueError("empty POS tag")
+        if "\0" in self.rep or "\0" in self.pos:
+            raise ValueError("NUL byte in a field")
         if not LANG_RE.match(self.lang):
             raise ValueError(f"bad language code: {self.lang!r}")
 

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -166,3 +167,79 @@ def test_prediction_file_reparses_as_dictionary(synth_dir, tmp_path):
     stripped.write_text("".join("\t".join(l.split("\t")[:4]) + "\n" for l in body), encoding="utf-8")
     pairs = parse_dictionary(DictionarySpec(str(stripped), "aa", "ab"))
     assert len(pairs) == len(body)
+
+
+def _shuffled_copy(src_dir, dst_dir, seed):
+    """Copy an instance with its manifest rows and each dictionary's lines shuffled."""
+    rng = random.Random(seed)
+    dst_dir.mkdir()
+    rows = read(src_dir / "manifest.tsv").splitlines()
+    rng.shuffle(rows)
+    (dst_dir / "manifest.tsv").write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    for row in rows:
+        name = row.split("\t")[2]
+        lines = read(src_dir / name).splitlines()
+        rng.shuffle(lines)
+        (dst_dir / name).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("algo_flags", [["--algo", "acd"], ["--algo", "otic", "--bcc-filter"]])
+def test_generate_independent_of_input_order(tmp_path, algo_flags):
+    inst = tmp_path / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "5", "--senses", "60",
+                 "--polysemy", "0.2", "--edge-prob", "0.7", "--seed", "11"]) == 0
+    # leave `ae` joined by one dictionary, so the BCC filter has a bridge to drop
+    manifest = inst / "manifest.tsv"
+    rows = [l for l in read(manifest).splitlines() if not l.startswith(("aa\tae", "ab\tae", "ac\tae"))]
+    manifest.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    outs = []
+    for seed, d in ((None, inst), (1, tmp_path / "s1"), (2, tmp_path / "s2")):
+        if seed is not None:
+            _shuffled_copy(inst, d, seed)
+        pred = tmp_path / f"pred_{seed}.tsv"
+        assert main(["generate", *algo_flags, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                     "--manifest", str(d / "manifest.tsv"), "--out", str(pred)]) == 0
+        outs.append(read(pred))
+    assert len(outs[0].splitlines()) > 1
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_evaluate_manifest_report_matches_graph_vocabulary(tmp_path, capsys):
+    from lexinduce import (
+        DictionarySpec, build_graph, evaluate, parse_dictionaries, parse_dictionary, parse_manifest, read_predictions,
+    )
+
+    inst = tmp_path / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "3", "--senses", "80",
+                 "--polysemy", "0.1", "--edge-prob", "0.5", "--seed", "4"]) == 0
+    manifest, gold = inst / "manifest.tsv", inst / "gold_aa-ab.tsv"
+    pred = tmp_path / "pred.tsv"
+    assert main(["generate", "--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", str(manifest), "--out", str(pred), "--threshold", "0"]) == 0
+    capsys.readouterr()
+
+    g = build_graph(parse_dictionaries(parse_manifest(str(manifest))))
+    report = evaluate(
+        [(a, b) for a, b, _ in read_predictions(str(pred), "aa", "ab")],
+        parse_dictionary(DictionarySpec(str(gold), "aa", "ab")),
+        {lang: g.entries_of_lang(lang) for lang in g.languages},
+    )
+    assert 0 < report.bwr_denominator < report.gold  # the vocabulary matters
+    expected = [f"{k}={v}" for k, v in report.as_dict().items()] + [f"warning={w}" for w in report.warnings]
+    for src, tgt in (("aa", "ab"), ("AA", "AB")):
+        code, out = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold),
+                        "--src", src, "--tgt", tgt, "--manifest", str(manifest))
+        assert code == 0
+        assert out.splitlines()[1:] == expected
+
+
+def test_evaluate_manifest_rejects_malformed_dictionary(synth_dir, tmp_path, capsys):
+    bad = synth_dir / "dict_ab-ac.tsv"
+    lineno = len(read(bad).splitlines()) + 1
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write("x\tn\ty\n")
+    gold = str(synth_dir / "gold_aa-ab.tsv")
+    code = main(["evaluate", "--pred", gold, "--gold", gold, "--src", "aa", "--tgt", "ab",
+                 "--manifest", str(synth_dir / "manifest.tsv")])
+    assert code == 2
+    assert f"{bad}:{lineno}:" in capsys.readouterr().err

@@ -92,3 +92,60 @@ def test_read_predictions_accepts_plain_dictionary(tmp_path):
     path = write(tmp_path, "d.tsv", "chien\tn\tdog\tn\n")
     ((a, b, conf),) = read_predictions(path, "fr", "en")
     assert conf == 1.0 and a.rep == "chien"
+
+
+@pytest.mark.parametrize("line", ["chi\x00en\tn\tdog\tn", "chien\tn\tdog\tn\x00"])
+def test_nul_byte_rejected(tmp_path, line):
+    path = write(tmp_path, "d.tsv", f"chat\tn\tcat\tn\n{line}\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_dictionary(DictionarySpec(path, "fr", "en"))
+    assert exc.value.lineno == 2
+
+
+def test_crlf_parses_like_lf(tmp_path):
+    text = "# rep_a\tpos_a\trep_b\tpos_b\nchien\tn\tdog\tn\n\nchat\tn\tcat\tn\n"
+    lf = write(tmp_path, "lf.tsv", text)
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    pairs = parse_dictionary(DictionarySpec(lf, "fr", "en"))
+    assert len(pairs) == 2
+    assert parse_dictionary(DictionarySpec(str(crlf), "fr", "en")) == pairs
+
+
+def test_whitespace_and_nfc_variants_collapse(tmp_path):
+    # precomposed, decomposed (e + combining acute) and padded forms of one pair
+    lines = ["caf\u00e9\tn\tcoffee\tn", " cafe\u0301 \tn\tcoffee\t n", "caf\u00e9 \t n\t coffee\tn"]
+    path = write(tmp_path, "d.tsv", "\n".join(lines) + "\n")
+    pairs = parse_dictionary(DictionarySpec(path, "fr", "en"))
+    assert pairs == [(LexicalEntry("caf\u00e9", "fr", "n"), LexicalEntry("coffee", "en", "n"))]
+
+
+@pytest.mark.parametrize("bad", ["chien\tn\t\tn", "\tn\tdog\tn", "chien\tn\tdog\t\x00"])
+def test_bad_field_beside_cached_entry_reports_its_line(tmp_path, bad):
+    path = write(tmp_path, "d.tsv", f"chien\tn\tdog\tn\n# comment\n{bad}\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_dictionary(DictionarySpec(path, "fr", "en"))
+    assert exc.value.lineno == 3
+    assert str(exc.value).startswith(f"{path}:3:")
+
+
+def test_parse_dictionaries_builds_each_raw_entry_once(tmp_path, monkeypatch):
+    import lexinduce.dictio as dictio
+
+    fr_en = write(tmp_path, "fr-en.tsv", "chien\tn\tdog\tn\nchien\tn\thound\tn\nchien\tn\tdog\tn\n chien\tn\tdog\tn\n")
+    en_de = write(tmp_path, "en-de.tsv", "dog\tn\tHund\tn\nhound\tn\tHund\tn\ndog\tv\tjagen\tv\n")
+    specs = [DictionarySpec(fr_en, "fr", "en"), DictionarySpec(en_de, "en", "de")]
+    calls = []
+    real = dictio.make_entry
+
+    def counting(rep, lang, pos):
+        calls.append((lang, rep, pos))
+        return real(rep, lang, pos)
+
+    monkeypatch.setattr(dictio, "make_entry", counting)
+    pairs = dictio.parse_dictionaries(specs)
+    raw = {("fr", "chien", "n"), ("fr", " chien", "n"), ("en", "dog", "n"), ("en", "hound", "n"),
+           ("de", "Hund", "n"), ("en", "dog", "v"), ("de", "jagen", "v")}
+    assert sorted(calls) == sorted(raw)
+    assert pairs == [p for spec in specs for p in parse_dictionary(spec)]
+    assert len(pairs) == 2 + 3
