@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -45,14 +46,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+CONFIG_KEYS = frozenset({
+    "algo", "pivot", "threads", "bcc_filter", "min_len", "max_len",
+    "context_depth", "threshold", "transitive_pos", "transitive_depth",
+})
+
+
 def load_config(path) -> dict[str, str]:
-    """Flat key=value config; `#` comments and blank lines ignored."""
+    """Flat key=value config; `#` comments and blank lines ignored.
+
+    Only the keys `generate` reads (`CONFIG_KEYS`) are accepted, so a
+    misspelt key fails with `path:line` instead of being ignored.
+    """
     out: dict[str, str] = {}
     for lineno, line in dictio._data_lines(path):
         if "=" not in line:
             raise dictio.MalformedLine(path, lineno, "expected key=value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise dictio.MalformedLine(path, lineno, f"unknown key: {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -135,7 +149,21 @@ def _report_lines(report, prefix=""):
         yield f"warning={warning}"
 
 
+def _parse_sweep(text: str) -> tuple[float, float, float]:
+    """`start:stop:step` with finite values, start <= stop and step > 0."""
+    try:
+        start, stop, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise UsageError("--sweep expects start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError("--sweep values must be finite")
+    if step <= 0 or start > stop:
+        raise UsageError("--sweep needs step > 0 and start <= stop")
+    return start, stop, step
+
+
 def cmd_evaluate(args) -> int:
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
     preds = dictio.read_predictions(args.pred, args.src, args.tgt)
     gold_pairs = dictio.parse_dictionary(dictio.DictionarySpec(args.gold, args.src, args.tgt))
     vocab = None
@@ -154,11 +182,8 @@ def cmd_evaluate(args) -> int:
             out.write(line + "\n")
 
     try:
-        if args.sweep:
-            try:
-                start, stop, step = (float(x) for x in args.sweep.split(":"))
-            except ValueError:
-                raise UsageError("--sweep expects start:stop:step") from None
+        if sweep:
+            start, stop, step = sweep
             emit("threshold\tprecision\trecall\tf1\tcoverage\tpredicted")
             tau = start
             while tau <= stop + 1e-9:

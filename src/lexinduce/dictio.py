@@ -7,6 +7,7 @@ out of band (manifest row or CLI flag).
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -30,24 +31,21 @@ class DictionarySpec:
 
 
 def _data_lines(path):
+    """Yield `(lineno, line)` for each data line of a UTF-8 text file.
+
+    The file is read in one call and closed before the first line is
+    yielded. Universal newlines make CR and CRLF ends read as LF, and
+    `utf-8-sig` drops a leading byte order mark.
+    """
     try:
-        fh = open(path, encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise MissingFile(str(path)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        head = line.lstrip()
+        if head and head[0] != "#":
             yield lineno, line
-
-
-def _entry(cache: dict[tuple[str, str, str], LexicalEntry], lang: str, rep: str, pos: str) -> LexicalEntry:
-    key = (lang, rep, pos)
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache[key] = make_entry(rep, lang, pos)
-    return entry
 
 
 def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
@@ -59,18 +57,27 @@ def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
     once. Duplicate pairs are still found on the normalized entries.
     """
     cache: dict[tuple[str, str, str], LexicalEntry] = {}
+    cached = cache.get
     pairs: list[Pair] = []
     for spec in specs:
+        lang_a, lang_b = spec.lang_a, spec.lang_b
         seen: set[Pair] = set()
         for lineno, line in _data_lines(spec.path):
             cols = line.split("\t")
             if len(cols) != 4:
                 raise MalformedLine(spec.path, lineno, f"expected 4 columns, got {len(cols)}")
             rep_a, pos_a, rep_b, pos_b = cols
-            try:
-                pair = (_entry(cache, spec.lang_a, rep_a, pos_a), _entry(cache, spec.lang_b, rep_b, pos_b))
-            except ValueError as exc:
-                raise MalformedLine(spec.path, lineno, str(exc)) from None
+            key_a, key_b = (lang_a, rep_a, pos_a), (lang_b, rep_b, pos_b)
+            a, b = cached(key_a), cached(key_b)
+            if a is None or b is None:
+                try:
+                    if a is None:
+                        a = cache[key_a] = make_entry(rep_a, lang_a, pos_a)
+                    if b is None:
+                        b = cache[key_b] = make_entry(rep_b, lang_b, pos_b)
+                except ValueError as exc:
+                    raise MalformedLine(spec.path, lineno, str(exc)) from None
+            pair = (a, b)
             if pair not in seen:
                 seen.add(pair)
                 pairs.append(pair)
@@ -133,7 +140,8 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
     """Load a prediction TSV.
 
     Confidence and provenance columns are optional; a plain 4-column
-    dictionary file reads as predictions at confidence 1.
+    dictionary file reads as predictions at confidence 1. A confidence
+    must be a number in [0, 1].
     """
     out = []
     for lineno, line in _data_lines(path):
@@ -146,7 +154,9 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
             try:
                 conf = float(cols[4])
             except ValueError:
-                raise MalformedLine(path, lineno, f"bad confidence: {cols[4]!r}") from None
+                conf = math.nan
+            if not 0.0 <= conf <= 1.0:
+                raise MalformedLine(path, lineno, f"bad confidence: {cols[4]!r}")
         try:
             pair = (make_entry(cols[0], lang_a, cols[1]), make_entry(cols[2], lang_b, cols[3]))
         except ValueError as exc:

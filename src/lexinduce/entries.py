@@ -10,26 +10,37 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 
 LANG_RE = re.compile(r"[a-z]{2,3}\Z")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LexicalEntry:
-    rep: str
-    lang: str
-    pos: str
+class LexicalEntry(namedtuple("LexicalEntry", "rep lang pos")):
+    """An immutable, validated `(rep, lang, pos)` tuple.
 
-    def __post_init__(self):
-        if not self.rep:
+    Hashing, equality and ordering are the tuple's own, done in C: an
+    entry sorts by rep, then lang, then POS, and equals the plain tuple
+    `(rep, lang, pos)` with the same fields. Every constructor, including
+    `_make` and `_replace`, validates the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rep: str, lang: str, pos: str):
+        if not rep:
             raise ValueError("empty written form")
-        if not self.pos:
+        if not pos:
             raise ValueError("empty POS tag")
-        if "\0" in self.rep or "\0" in self.pos:
+        if "\0" in rep or "\0" in pos:
             raise ValueError("NUL byte in a field")
-        if not LANG_RE.match(self.lang):
-            raise ValueError(f"bad language code: {self.lang!r}")
+        if not LANG_RE.match(lang):
+            raise ValueError(f"bad language code: {lang!r}")
+        return tuple.__new__(cls, (rep, lang, pos))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`.
+        return cls(*iterable)
 
 
 def normalize_field(text: str) -> str:

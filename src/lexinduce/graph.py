@@ -33,34 +33,38 @@ class TranslationGraph:
         self._lang_ids: dict[str, list[int]] = {}
         self._pair_edges: dict[tuple[str, str], list[tuple[int, int]]] = {}
         self._edge_count = 0
+        ids, adj_sets, pair_edges = self._ids, self._adj_sets, self._pair_edges
         for u, v in pairs:
             if u.lang == v.lang:
                 raise IntraLanguagePair(f"{u} -- {v}")
-            iu = self._intern(u)
-            iv = self._intern(v)
-            if iv in self._adj_sets[iu]:
+            iu = ids.get(u)
+            if iu is None:
+                iu = self._add_vertex(u)
+            iv = ids.get(v)
+            if iv is None:
+                iv = self._add_vertex(v)
+            if iv in adj_sets[iu]:
                 continue
-            self._adj_sets[iu].add(iv)
-            self._adj_sets[iv].add(iu)
+            adj_sets[iu].add(iv)
+            adj_sets[iv].add(iu)
             self._edge_count += 1
             key = (u.lang, v.lang) if u.lang < v.lang else (v.lang, u.lang)
             edge = (iu, iv) if iu < iv else (iv, iu)
-            self._pair_edges.setdefault(key, []).append(edge)
+            pair_edges.setdefault(key, []).append(edge)
         for v in extra_vertices:
-            self._intern(v)
+            if v not in ids:
+                self._add_vertex(v)
         for i, nbrs in enumerate(self._adj_sets):
             self._adj.append(sorted(nbrs))
-        for ids in self._lang_ids.values():
-            ids.sort()
+        for members in self._lang_ids.values():
+            members.sort()
 
-    def _intern(self, entry: LexicalEntry) -> int:
-        vid = self._ids.get(entry)
-        if vid is None:
-            vid = len(self._entries)
-            self._ids[entry] = vid
-            self._entries.append(entry)
-            self._adj_sets.append(set())
-            self._lang_ids.setdefault(entry.lang, []).append(vid)
+    def _add_vertex(self, entry: LexicalEntry) -> int:
+        vid = len(self._entries)
+        self._ids[entry] = vid
+        self._entries.append(entry)
+        self._adj_sets.append(set())
+        self._lang_ids.setdefault(entry.lang, []).append(vid)
         return vid
 
     # -- public queries -------------------------------------------------

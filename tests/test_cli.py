@@ -1,8 +1,11 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lexinduce
 from lexinduce.cli import main
 
 
@@ -21,7 +24,8 @@ def synth_dir(tmp_path):
 
 
 def read(path):
-    return open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_synth_deterministic_byte_identical(tmp_path):
@@ -152,6 +156,31 @@ def test_config_file_with_flag_override(synth_dir, tmp_path):
     n1 = len(read(p1).splitlines())
     n2 = len(read(p2).splitlines())
     assert n2 >= n1  # lower threshold keeps at least as many rows
+
+
+def test_config_unknown_key_is_input_error(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo=acd\npivot=ac\ntreshold=0.9\n", encoding="utf-8")
+    code = main(["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "p.tsv")])
+    assert code == 2
+    assert f"{cfg}:3: unknown key: 'treshold'" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
+@pytest.mark.parametrize("sweep", ["0:1:0", "0:1:-0.1", "1:0:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan"])
+def test_evaluate_bad_sweep_is_usage_error(tmp_path, sweep):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("chien\tn\tdog\tn\n", encoding="utf-8")
+    # A separate process, so a sweep that never ends fails on the timeout instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lexinduce.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexinduce", "evaluate", "--pred", str(pairs), "--gold", str(pairs),
+         "--src", "fr", "--tgt", "en", "--sweep", sweep],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert b"usage error: --sweep" in proc.stderr
 
 
 def test_prediction_file_reparses_as_dictionary(synth_dir, tmp_path):

@@ -79,7 +79,8 @@ def test_prediction_roundtrip_and_sorting(tmp_path):
     rows = [(a2, b1, 0.5, "cycle"), (a1, b1, 0.25, "cycle"), (a1, b2, 1.0, "type_b")]
     path = str(tmp_path / "pred.tsv")
     write_predictions(path, rows)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("#")
     # sorted by source rep, then descending confidence
     assert lines[1].split("\t")[:2] == ["apple", "n"] and lines[1].split("\t")[4] == "1.0000"
@@ -92,6 +93,29 @@ def test_read_predictions_accepts_plain_dictionary(tmp_path):
     path = write(tmp_path, "d.tsv", "chien\tn\tdog\tn\n")
     ((a, b, conf),) = read_predictions(path, "fr", "en")
     assert conf == 1.0 and a.rep == "chien"
+
+
+@pytest.mark.parametrize("conf", ["nan", "inf", "-inf", "7.5", "-2", "1.0001"])
+def test_read_predictions_rejects_confidence_outside_unit_interval(tmp_path, conf):
+    path = write(tmp_path, "p.tsv", f"chat\tn\tcat\tn\t0.5\tcycle\nchien\tn\tdog\tn\t{conf}\tcycle\n")
+    with pytest.raises(MalformedLine) as exc:
+        read_predictions(path, "fr", "en")
+    assert exc.value.lineno == 2
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("a\rb\r\rc", [(1, "a"), (2, "b"), (4, "c")]),
+    ("a\nb", [(1, "a"), (2, "b")]),
+    ("a\n \t \n\t\nb\n", [(1, "a"), (4, "b")]),
+    ("  # note\na\n\t#x\tn\nb # not a comment\n", [(2, "a"), (4, "b # not a comment")]),
+    ("\ufeff# header\r\na\r\n\r\nb\r\n", [(2, "a"), (4, "b")]),
+])
+def test_data_line_numbers(tmp_path, text, expected):
+    from lexinduce.dictio import _data_lines
+
+    path = tmp_path / "d.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(_data_lines(str(path))) == expected
 
 
 @pytest.mark.parametrize("line", ["chi\x00en\tn\tdog\tn", "chien\tn\tdog\tn\x00"])
