@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 input/format error, 3 internal.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -104,11 +105,19 @@ def cmd_generate(args) -> int:
     params = _build_params(args, config)
     threads = _resolve(args, config, "threads", 1, int)
 
-    specs = dictio.parse_manifest(args.manifest)
-    if _resolve(args, config, "bcc_filter", False, lambda s: s.lower() in ("1", "true", "yes")):
-        specs = largest_biconnected_language_component(specs)
-        log.info("bcc filter kept %d dictionaries", len(specs))
-    g = build_graph(dictio.parse_dictionaries(specs))
+    # Ingest allocates only acyclic containers, so the cyclic collector
+    # would find nothing there; and the graph lives to the end of the run,
+    # so freezing it keeps later collections from walking it.
+    gc.disable()
+    try:
+        specs = dictio.parse_manifest(args.manifest)
+        if _resolve(args, config, "bcc_filter", False, lambda s: s.lower() in ("1", "true", "yes")):
+            specs = largest_biconnected_language_component(specs)
+            log.info("bcc filter kept %d dictionaries", len(specs))
+        g = build_graph(dictio.parse_dictionaries(specs))
+    finally:
+        gc.enable()
+    gc.freeze()
     log.info("graph: %d vertices, %d edges", g.vertex_count, g.edge_count)
 
     if algo == "otic":
@@ -149,8 +158,15 @@ def _report_lines(report, prefix=""):
         yield f"warning={warning}"
 
 
-def _parse_sweep(text: str) -> tuple[float, float, float]:
-    """`start:stop:step` with finite values, start <= stop and step > 0."""
+MAX_SWEEP_ROWS = 10_001
+
+
+def _parse_sweep(text: str) -> tuple[float, float, int]:
+    """`start:stop:step` with finite values, start <= stop and step > 0.
+
+    Returns the start, the step and the row count, which is at most
+    `MAX_SWEEP_ROWS`.
+    """
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -159,7 +175,10 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
         raise UsageError("--sweep values must be finite")
     if step <= 0 or start > stop:
         raise UsageError("--sweep needs step > 0 and start <= stop")
-    return start, stop, step
+    spans = (stop + 1e-9 - start) / step
+    if spans >= MAX_SWEEP_ROWS:
+        raise UsageError(f"--sweep gives more than {MAX_SWEEP_ROWS} rows")
+    return start, step, math.floor(spans) + 1
 
 
 def cmd_evaluate(args) -> int:
@@ -183,14 +202,13 @@ def cmd_evaluate(args) -> int:
 
     try:
         if sweep:
-            start, stop, step = sweep
+            start, step, rows = sweep
             emit("threshold\tprecision\trecall\tf1\tcoverage\tpredicted")
-            tau = start
-            while tau <= stop + 1e-9:
+            for i in range(rows):
+                tau = start + i * step  # not a running sum, which a tiny step would never move
                 kept = [(a, b) for a, b, conf in preds if conf >= tau - 1e-12]
                 r = evaluate(kept, gold_pairs, vocab)
                 emit(f"{tau:.2f}\t{r.precision:.4f}\t{r.recall:.4f}\t{r.f1:.4f}\t{r.coverage:.4f}\t{r.predicted}")
-                tau += step
         else:
             report = evaluate([(a, b) for a, b, _ in preds], gold_pairs, vocab)
             for line in _report_lines(report):

@@ -88,46 +88,68 @@ def cycle_density(g: TranslationGraph, cycle: Sequence[LexicalEntry]) -> float:
     return _induced_density(g, vids)
 
 
-def _ball_nbrs(g: TranslationGraph, dist: dict[int, int]) -> dict[int, list[int]]:
-    """Adjacency lists restricted to the ball whose BFS distances are `dist`."""
-    return {u: [w for w in g.adj(u) if w in dist] for u in dist}
+def _ball(
+    g: TranslationGraph, sid: int, depth: int
+) -> tuple[list[int], list[list[int]], list[int], list[int]]:
+    """The BFS ball of radius `depth` around `sid`, on local vertex ids.
 
-
-def _return_via(
-    nbrs: dict[int, list[int]], dist: dict[int, int], sid: int, marked: set[int], limit: int
-) -> dict[int, int]:
-    """Fewest edges from each ball vertex through some marked vertex back to `sid`.
-
-    Bucketed multi-source BFS: a marked vertex `t` starts at `dist[t]`,
-    and each step away from it costs one edge. Walks are not required to
-    be simple, so the result is a lower bound on any cycle completion.
-    Values above `limit` are dropped; a missing vertex cannot finish a
-    cycle within the budget.
+    Local ids follow BFS order, so the source is 0. BFS walks the sorted
+    `g.adj(sid)` first, so the source's neighbours get local ids
+    1..deg in ascending graph-id order: comparing two of them by local id
+    is comparing them by graph id. Returns, per local id, the graph id,
+    the ball neighbours as local ids, the BFS distance, and the ball
+    neighbours as a bit mask.
     """
-    h = {t: dist[t] for t in marked if dist[t] <= limit}
+    dist_of = g.bfs_distances(sid, depth)
+    gids = list(dist_of)
+    local = {v: i for i, v in enumerate(gids)}
+    nbrs: list[list[int]] = []
+    masks: list[int] = []
+    for v in gids:
+        row = [i for i in map(local.get, g.adj(v)) if i is not None]
+        mask = 0
+        for i in row:
+            mask |= 1 << i
+        nbrs.append(row)
+        masks.append(mask)
+    return gids, nbrs, list(dist_of.values()), masks
+
+
+def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limit: int) -> list[int]:
+    """Fewest edges from each ball vertex through some target back to the source.
+
+    Bucketed multi-source BFS on local ids: a target `t` starts at
+    `dist[t]`, and each step away from it costs one edge. Walks are not
+    required to be simple, so the result is a lower bound on any cycle
+    completion. A vertex that cannot finish a cycle within `limit` edges
+    reads `limit + 1`.
+    """
+    h = [limit + 1] * len(dist)
     buckets: list[list[int]] = [[] for _ in range(limit + 1)]
-    for t, d in h.items():
-        buckets[d].append(t)
+    for t in targets:
+        if dist[t] <= limit:
+            h[t] = dist[t]
+            buckets[dist[t]].append(t)
     for d in range(limit):
         for u in buckets[d]:
             if h[u] != d:
                 continue  # reached cheaper after it was queued
             for w in nbrs[u]:
-                if w != sid and h.get(w, limit + 1) > d + 1:
+                if w and h[w] > d + 1:  # local id 0 is the source
                     h[w] = d + 1
                     buckets[d + 1].append(w)
     return h
 
 
 def _cycles_holding(
-    nbrs: dict[int, list[int]],
-    dist: dict[int, int],
-    sid: int,
+    nbrs: list[list[int]],
+    dist: list[int],
+    masks: list[int],
+    marked: list[bool],
+    h: list[int],
     c: CycleConstraints,
-    marked: set[int] | dict[int, int],
-    h: dict[int, int],
-) -> list[tuple[int, ...]]:
-    """Bounded simple cycles through `sid` that hold a marked vertex, as id tuples.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Bounded simple cycles through local id 0 that hold a marked vertex.
 
     Depth-first search over the ball. Until the path holds a marked
     vertex, it extends to `w` only if the path length plus `h[w]`, the
@@ -137,40 +159,48 @@ def _cycles_holding(
     marked vertex is lost. Each cycle is found in both orientations;
     keeping only paths whose second vertex id is below the last one
     reports it exactly once.
+
+    The path is kept as a bit mask `on`, and each push adds the new
+    vertex's edges to the path, so a closed cycle comes with the edge
+    count of the subgraph its vertices induce. Returns
+    `(local ids, induced edges)` per cycle.
     """
     min_len, max_len = c.min_len, c.max_len
-    cycles: list[tuple[int, ...]] = []
-    path = [sid]
-    on_path = {sid}
+    last = max_len - 1
+    ends = nbrs[0]
+    cycles: list[tuple[tuple[int, ...], int]] = []
+    path = [0]
 
-    def free(v: int):
+    def free(v: int, on: int, edges: int):
         budget = len(path)
         for w in nbrs[v]:
-            if w not in on_path and budget + h.get(w, max_len) <= max_len:
+            if not on >> w & 1 and budget + h[w] <= max_len:
                 path.append(w)
-                on_path.add(w)
-                if w in marked:
-                    held(w)
+                if marked[w]:
+                    held(w, on | 1 << w, edges + (masks[w] & on).bit_count())
                 else:
-                    free(w)
-                on_path.discard(w)
+                    free(w, on | 1 << w, edges + (masks[w] & on).bit_count())
                 path.pop()
 
-    def held(v: int):
+    def held(v: int, on: int, edges: int):
         budget = len(path)
         if dist[v] == 1 and budget >= min_len and path[1] < v:
-            cycles.append(tuple(path))  # v closes the cycle back to the source
-        if budget == max_len:
+            cycles.append((tuple(path), edges))  # v closes the cycle back to the source
+        if budget == last:
+            # The next vertex is the last one, so it must be a neighbour of the source.
+            first, adj = path[1], masks[v]
+            for w in ends:
+                if first < w and adj >> w & 1 and not on >> w & 1:
+                    cycles.append(((*path, w), edges + (masks[w] & on).bit_count()))
             return
         for w in nbrs[v]:
-            if w not in on_path and budget + dist[w] <= max_len:
+            if not on >> w & 1 and budget + dist[w] <= max_len:
                 path.append(w)
-                on_path.add(w)
-                held(w)
-                on_path.discard(w)
+                held(w, on | 1 << w, edges + (masks[w] & on).bit_count())
                 path.pop()
 
-    free(sid)
+    free(0, 1, 0)
+    free = held = None  # the closures name each other; free them by refcount
     return cycles
 
 
@@ -183,12 +213,12 @@ def enumerate_cycles(
     so the second vertex is the smaller of the source's two cycle
     neighbors by internal id.
     """
-    sid = g.id_of(source)
-    dist = g.bfs_distances(sid, c.context_depth)
+    gids, nbrs, dist, masks = _ball(g, g.id_of(source), c.context_depth)
+    entries = [g.entry_of(v) for v in gids]
     # Every ball vertex is marked, so each cycle holds one from its second
     # vertex on and the search bound is the plain BFS distance.
-    ids = _cycles_holding(_ball_nbrs(g, dist), dist, sid, c, dist, dist)
-    return {tuple(g.entry_of(v) for v in cyc) for cyc in ids}
+    cycles = _cycles_holding(nbrs, dist, masks, [True] * len(gids), dist, c)
+    return {tuple(entries[v] for v in ids) for ids, _ in cycles}
 
 
 def _cd_for_source(g: TranslationGraph, sid: int, target_lang: str, c: CycleConstraints) -> list[ScoredPair]:
@@ -199,24 +229,27 @@ def _cd_for_source(g: TranslationGraph, sid: int, target_lang: str, c: CycleCons
     can hold a candidate are searched, and only closed ones are scored.
     """
     src = g.entry_of(sid)
-    dist = g.bfs_distances(sid, c.context_depth)
-    adjacent = g.adj_set(sid)
-    candidates = set()
-    for v in dist:
-        ev = g.entry_of(v)
-        if ev.lang == target_lang and ev.pos == src.pos and v != sid and v not in adjacent:
-            candidates.add(v)
-    if not candidates:
+    gids, nbrs, dist, masks = _ball(g, sid, c.context_depth)
+    # Local ids 0..deg are the source and its neighbours, so candidates start after them.
+    targets = []
+    for i in range(len(nbrs[0]) + 1, len(gids)):
+        ev = g.entry_of(gids[i])
+        if ev.lang == target_lang and ev.pos == src.pos:
+            targets.append(i)
+    if not targets:
         return []
-    nbrs = _ball_nbrs(g, dist)
-    h = _return_via(nbrs, dist, sid, candidates, c.max_len - 1)
-    best: dict[int, float] = {}
-    for ids in _cycles_holding(nbrs, dist, sid, c, candidates, h):
-        density = _induced_density(g, ids)
+    marked = [False] * len(gids)
+    for t in targets:
+        marked[t] = True
+    h = _return_via(nbrs, dist, targets, c.max_len - 1)
+    best = [-1.0] * len(gids)
+    for ids, edges in _cycles_holding(nbrs, dist, masks, marked, h, c):
+        k = len(ids)
+        density = 2.0 * edges / (k * (k - 1))
         for v in ids:
-            if v in candidates and density > best.get(v, -1.0):
+            if marked[v] and density > best[v]:
                 best[v] = density
-    return [ScoredPair(src, g.entry_of(v), conf, "cycle") for v, conf in best.items()]
+    return [ScoredPair(src, g.entry_of(gids[t]), best[t], "cycle") for t in targets if best[t] >= 0.0]
 
 
 def cd_predict(

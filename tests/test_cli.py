@@ -168,7 +168,7 @@ def test_config_unknown_key_is_input_error(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "p.tsv").exists()
 
 
-@pytest.mark.parametrize("sweep", ["0:1:0", "0:1:-0.1", "1:0:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan"])
+@pytest.mark.parametrize("sweep", ["0:1:0", "0:1:-0.1", "1:0:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "1:2:1e-17"])
 def test_evaluate_bad_sweep_is_usage_error(tmp_path, sweep):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("chien\tn\tdog\tn\n", encoding="utf-8")

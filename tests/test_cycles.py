@@ -118,6 +118,7 @@ def test_enumeration_matches_bruteforce(seed, min_len, extra, depth):
         ours = enumerate_cycles(g, src, c)
         for cyc in ours:
             assert cyc[0] == src
+            assert g.id_of(cyc[1]) < g.id_of(cyc[-1])  # the documented orientation
             _verify_cycle(g, cyc, c)
         assert {cycle_key(cyc) for cyc in ours} == oracle_cycles(g, src, min_len, max_len, depth)
 

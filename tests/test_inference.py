@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -123,6 +124,22 @@ def test_insertion_order_irrelevant():
         expected = cd_predict(g, src, tgt, PARAMS)
         assert expected
         assert cd_predict(g2, src, tgt, PARAMS) == expected
+
+
+def test_cd_predict_leaves_no_cyclic_garbage():
+    # Everything the search allocates must be freed by reference counting,
+    # so a run that keeps the cyclic collector off does not grow.
+    g = generate(SynthParams(n_langs=5, n_senses=60, polysemy_rate=0.3, seed=6)).graph
+    src, tgt = g.languages[0], g.languages[1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert cd_predict(g, src, tgt, PARAMS)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- transitive translation -------------------------------------------------
