@@ -7,7 +7,7 @@ augmented cycle density (cycle density plus unique-pivot-image pairs at
 confidence 1), with an evaluation harness and a synthetic-instance
 generator for oracle testing.
 """
-from .acd import AcdConfig, acd_predict, merge_scored, threshold_filter
+from .acd import AcdConfig, acd_predict, merge_scored, predict, threshold_filter
 from .dictio import (
     DictionarySpec,
     parse_dictionaries,
@@ -31,7 +31,7 @@ from .errors import (
     UnknownVertex,
 )
 from .evaluation import EvalReport, evaluate
-from .graph import TranslationGraph, build_graph, context_subgraph
+from .graph import TranslationGraph, build_graph
 from .inference import (
     CycleConstraints,
     InferenceParams,
@@ -73,7 +73,6 @@ __all__ = [
     "build_graph",
     "build_pivot_table",
     "cd_predict",
-    "context_subgraph",
     "cycle_density",
     "enumerate_cycles",
     "evaluate",
@@ -88,6 +87,7 @@ __all__ = [
     "parse_dictionaries",
     "parse_dictionary",
     "parse_manifest",
+    "predict",
     "read_predictions",
     "threshold_filter",
     "transitive_predict",

@@ -1,22 +1,25 @@
-"""Augmented cycle density: CD candidates plus single-pivot Type-B pairs.
+"""One prediction pipeline for OTIC, CD and ACD.
 
-Type-B pairs enter at confidence 1 before the threshold filter, so they
-survive any cut; the merge keeps the maximum confidence per (source,
-target) pair. With one pivot, cycle length pinned to 4, and a threshold
-in (0, 2/3], the output coincides with plain OTIC.
+Every algorithm merges a few groups of scored pairs, keeping the best
+confidence per (source, target) pair, and then cuts at one threshold.
+Type-A and Type-B pairs enter at confidence 1, so they survive any cut.
+With one pivot, cycle length pinned to 4, and a threshold in (0, 2/3],
+ACD's output coincides with plain OTIC.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import UnknownLanguage
 from .graph import TranslationGraph
 from .inference import InferenceParams, ScoredPair, cd_predict, transitive_predict
-from .otic import build_pivot_table, otic_type_b
+from .otic import build_pivot_table, otic_type_a, otic_type_b
+
+ALGORITHMS = ("otic", "cd", "acd")
 
 # On equal confidence the merge prefers the more specific provenance.
-_PROV_RANK = {"type_b": 0, "transitive": 1, "cycle": 2}
+_PROV_RANK = {"type_b": 0, "type_a": 1, "transitive": 2, "cycle": 3}
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +43,8 @@ def threshold_filter(pairs: Iterable[ScoredPair], tau: float) -> set[ScoredPair]
 def merge_scored(*groups: Iterable[ScoredPair]) -> set[ScoredPair]:
     """Merge by (source, target), keeping the maximum confidence.
 
-    Associative and commutative, so the orchestration order of the CD,
-    Type-B, and transitive steps is unobservable.
+    Associative and commutative, so the order of the groups is
+    unobservable.
     """
     best: dict[tuple, ScoredPair] = {}
     for group in groups:
@@ -57,31 +60,44 @@ def merge_scored(*groups: Iterable[ScoredPair]) -> set[ScoredPair]:
     return set(best.values())
 
 
-def acd_predict(
+def predict(
     g: TranslationGraph,
+    algo: str,
     source_lang: str,
     target_lang: str,
-    cfg: AcdConfig,
-    threads: int = 1,
+    params: InferenceParams,
+    pivot: str | None = None,
 ) -> set[ScoredPair]:
-    """Full augmented-cycle-density prediction set for one language pair.
+    """The prediction set of `algo` for one language pair, cut at `params.threshold`.
 
-    `threads` is accepted for compatibility and has no effect.
+    The groups merged are, per algorithm:
+    - otic: Type B and Type A over `pivot`, direct edges included, as
+      the method is defined on the two pivot dictionaries alone;
+    - cd: cycle-density candidates and transitive pairs;
+    - acd: cd's groups plus the Type-B pairs that are not direct edges.
     """
-    if cfg.pivot in (source_lang, target_lang):
-        raise UnknownLanguage(f"pivot {cfg.pivot!r} must differ from source and target")
-    g.ids_of_lang(source_lang)
-    g.ids_of_lang(target_lang)
-    g.ids_of_lang(cfg.pivot)
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm: {algo!r}")
+    groups: list[set[ScoredPair]] = []
+    if algo != "cd":
+        if pivot in (None, source_lang, target_lang):
+            raise UnknownLanguage(f"pivot {pivot!r} must be a language other than source and target")
+        for lang in (source_lang, target_lang, pivot):
+            g.ids_of_lang(lang)
+        table = build_pivot_table(g, source_lang, pivot, target_lang)
+        type_b = otic_type_b(table)
+        if algo == "otic":
+            groups.append({ScoredPair(a, b, 1.0, "type_a") for a, b in otic_type_a(table)})
+        else:
+            type_b = {(a, b) for a, b in type_b if not g.has_edge(a, b)}
+        groups.append({ScoredPair(a, b, 1.0, "type_b") for a, b in type_b})
+    if algo != "otic":
+        groups.append(cd_predict(g, source_lang, target_lang, params))
+        groups.append(transitive_predict(g, source_lang, target_lang, params.transitive_pos, params.transitive_depth))
+    return threshold_filter(merge_scored(*groups), params.threshold)
 
-    table = build_pivot_table(g, source_lang, cfg.pivot, target_lang)
-    type_b = {
-        ScoredPair(a, b, 1.0, "type_b")
-        for a, b in otic_type_b(table)
-        if not g.has_edge(a, b)
-    }
-    cd = cd_predict(g, source_lang, target_lang, cfg.params, threads=threads)
-    transitive = transitive_predict(
-        g, source_lang, target_lang, cfg.params.transitive_pos, cfg.params.transitive_depth
-    )
-    return threshold_filter(merge_scored(cd, type_b, transitive), cfg.effective_threshold)
+
+def acd_predict(g: TranslationGraph, source_lang: str, target_lang: str, cfg: AcdConfig) -> set[ScoredPair]:
+    """Full augmented-cycle-density prediction set for one language pair."""
+    params = replace(cfg.params, threshold=cfg.effective_threshold)
+    return predict(g, "acd", source_lang, target_lang, params, cfg.pivot)

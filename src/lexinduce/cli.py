@@ -19,14 +19,13 @@ import sys
 from collections import Counter
 
 from . import dictio
-from .acd import AcdConfig, acd_predict, merge_scored, threshold_filter
+from .acd import ALGORITHMS, predict
 from .entries import normalize_lang
 from .errors import LexinduceError
 from .evaluation import evaluate
 from .graph import build_graph
-from .inference import CycleConstraints, InferenceParams, cd_predict, transitive_predict
+from .inference import CycleConstraints, InferenceParams
 from .metagraph import largest_biconnected_language_component
-from .otic import build_pivot_table, otic_type_a, otic_type_b
 from .synth import SynthParams, generate
 
 log = logging.getLogger("lexinduce")
@@ -99,11 +98,13 @@ def _build_params(args, config) -> InferenceParams:
 def cmd_generate(args) -> int:
     config = load_config(args.config) if args.config else {}
     algo = _resolve(args, config, "algo", "acd", str)
+    if algo not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm: {algo!r}")
     pivot = _resolve(args, config, "pivot", None, str)
-    if algo in ("otic", "acd") and not pivot:
+    if algo != "cd" and not pivot:
         raise UsageError(f"--pivot is required for --algo {algo}")
     params = _build_params(args, config)
-    threads = _resolve(args, config, "threads", 1, int)
+    _resolve(args, config, "threads", 1, int)  # validated only: the search is serial
 
     # Ingest allocates only acyclic containers, so the cyclic collector
     # would find nothing there; and the graph lives to the end of the run,
@@ -120,27 +121,9 @@ def cmd_generate(args) -> int:
     gc.freeze()
     log.info("graph: %d vertices, %d edges", g.vertex_count, g.edge_count)
 
-    if algo == "otic":
-        table = build_pivot_table(g, args.src, pivot, args.tgt)
-        type_b = otic_type_b(table)
-        type_a = otic_type_a(table)
-        rows = [(a, b, 1.0, "type_b") for a, b in type_b]
-        rows += [(a, b, 1.0, "type_a") for a, b in type_a - type_b]
-    elif algo == "cd":
-        scored = merge_scored(
-            cd_predict(g, args.src, args.tgt, params, threads=threads),
-            transitive_predict(g, args.src, args.tgt, params.transitive_pos, params.transitive_depth),
-        )
-        scored = threshold_filter(scored, params.threshold)
-        rows = [(sp.source, sp.target, sp.confidence, sp.provenance) for sp in scored]
-    elif algo == "acd":
-        cfg = AcdConfig(params=params, pivot=pivot)
-        scored = acd_predict(g, args.src, args.tgt, cfg, threads=threads)
-        rows = [(sp.source, sp.target, sp.confidence, sp.provenance) for sp in scored]
-    else:
-        raise UsageError(f"unknown algorithm: {algo!r}")
-
-    counts = Counter(prov for _, _, _, prov in rows)
+    scored = predict(g, algo, args.src, args.tgt, params, pivot)
+    rows = [(sp.source, sp.target, sp.confidence, sp.provenance) for sp in scored]
+    counts = Counter(sp.provenance for sp in scored)
     for prov in sorted(counts):
         log.info("predictions: %d %s", counts[prov], prov)
     dictio.write_predictions(args.out, rows)
@@ -261,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--src", required=True)
     gen.add_argument("--tgt", required=True)
     gen.add_argument("--pivot")
-    gen.add_argument("--algo", choices=["otic", "cd", "acd"], default=None)
+    gen.add_argument("--algo", choices=ALGORITHMS, default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--bcc-filter", dest="bcc_filter", action="store_const", const=True)
     gen.add_argument("--config")

@@ -6,6 +6,7 @@ work on plain int adjacency lists; everything exposed publicly speaks in
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -23,17 +24,14 @@ class TranslationGraph:
     methods are read-only and safe to call concurrently.
     """
 
-    __slots__ = ("_entries", "_ids", "_adj", "_adj_sets", "_edge_count", "_lang_ids", "_pair_edges")
+    __slots__ = ("_entries", "_ids", "_adj", "_edge_count", "_lang_ids")
 
     def __init__(self, pairs: Iterable[Pair], extra_vertices: Iterable[LexicalEntry] = ()):
         self._entries: list[LexicalEntry] = []
         self._ids: dict[LexicalEntry, int] = {}
         self._adj: list[list[int]] = []
-        self._adj_sets: list[set[int]] = []
         self._lang_ids: dict[str, list[int]] = {}
-        self._pair_edges: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        self._edge_count = 0
-        ids, adj_sets, pair_edges = self._ids, self._adj_sets, self._pair_edges
+        ids, adj = self._ids, self._adj
         for u, v in pairs:
             if u.lang == v.lang:
                 raise IntraLanguagePair(f"{u} -- {v}")
@@ -43,19 +41,14 @@ class TranslationGraph:
             iv = ids.get(v)
             if iv is None:
                 iv = self._add_vertex(v)
-            if iv in adj_sets[iu]:
-                continue
-            adj_sets[iu].add(iv)
-            adj_sets[iv].add(iu)
-            self._edge_count += 1
-            key = (u.lang, v.lang) if u.lang < v.lang else (v.lang, u.lang)
-            edge = (iu, iv) if iu < iv else (iv, iu)
-            pair_edges.setdefault(key, []).append(edge)
+            adj[iu].append(iv)
+            adj[iv].append(iu)
         for v in extra_vertices:
             if v not in ids:
                 self._add_vertex(v)
-        for i, nbrs in enumerate(self._adj_sets):
-            self._adj.append(sorted(nbrs))
+        # Duplicate pairs, in either orientation, collapse here in one pass per vertex.
+        self._adj = [sorted(set(nbrs)) for nbrs in adj]
+        self._edge_count = sum(map(len, self._adj)) // 2
         for members in self._lang_ids.values():
             members.sort()
 
@@ -63,7 +56,7 @@ class TranslationGraph:
         vid = len(self._entries)
         self._ids[entry] = vid
         self._entries.append(entry)
-        self._adj_sets.append(set())
+        self._adj.append([])
         self._lang_ids.setdefault(entry.lang, []).append(vid)
         return vid
 
@@ -99,21 +92,23 @@ class TranslationGraph:
 
     def edges_between(self, lang_a: str, lang_b: str) -> tuple[Pair, ...]:
         """All edges joining the two languages, endpoints ordered (lang_a, lang_b)."""
-        key = (lang_a, lang_b) if lang_a < lang_b else (lang_b, lang_a)
+        entries = self._entries
         out = []
-        for iu, iv in self._pair_edges.get(key, ()):
-            u, v = self._entries[iu], self._entries[iv]
-            out.append((u, v) if u.lang == lang_a else (v, u))
+        for iu in self._lang_ids.get(lang_a, ()):
+            u = entries[iu]
+            for iv in self._adj[iu]:
+                v = entries[iv]
+                if v.lang == lang_b:
+                    out.append((u, v))
         return tuple(out)
 
     def has_edge(self, u: LexicalEntry, v: LexicalEntry) -> bool:
         iu, iv = self._ids.get(u), self._ids.get(v)
         if iu is None or iv is None:
             return False
-        return iv in self._adj_sets[iu]
-
-    def neighbors(self, entry: LexicalEntry) -> tuple[LexicalEntry, ...]:
-        return tuple(self._entries[i] for i in self._adj[self.id_of(entry)])
+        row = self._adj[iu]
+        i = bisect_left(row, iv)
+        return i < len(row) and row[i] == iv
 
     # -- id-level access (used by the inference algorithms) --------------
 
@@ -134,9 +129,6 @@ class TranslationGraph:
 
     def adj(self, vid: int) -> Sequence[int]:
         return self._adj[vid]
-
-    def adj_set(self, vid: int) -> frozenset[int] | set[int]:
-        return self._adj_sets[vid]
 
     def bfs_distances(self, start: int, max_depth: int) -> dict[int, int]:
         """Shortest-path distances from `start`, capped at `max_depth`."""
@@ -161,17 +153,3 @@ def build_graph(pairs: Iterable[Pair], extra_vertices: Iterable[LexicalEntry] = 
     joining two entries of the same language raises IntraLanguagePair.
     """
     return TranslationGraph(pairs, extra_vertices)
-
-
-def context_subgraph(g: TranslationGraph, source: LexicalEntry, depth: int) -> TranslationGraph:
-    """Induced subgraph on vertices within BFS distance `depth` of `source`."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    sid = g.id_of(source)
-    kept = g.bfs_distances(sid, depth)
-    pairs = []
-    for u in kept:
-        for v in g.adj(u):
-            if u < v and v in kept:
-                pairs.append((g.entry_of(u), g.entry_of(v)))
-    return TranslationGraph(pairs, extra_vertices=(source,))

@@ -15,7 +15,7 @@ from .entries import LexicalEntry
 from .errors import NotACycle, UnknownLanguage
 from .graph import TranslationGraph
 
-PROVENANCES = ("cycle", "type_b", "transitive")
+PROVENANCES = ("cycle", "type_b", "transitive", "type_a")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +70,7 @@ def _induced_density(g: TranslationGraph, vids: Sequence[int]) -> float:
     k = len(vids)
     edges = 0
     for i in range(k):
-        nbrs = g.adj_set(vids[i])
+        nbrs = g.adj(vids[i])
         for j in range(i + 1, k):
             if vids[j] in nbrs:
                 edges += 1
@@ -83,7 +83,7 @@ def cycle_density(g: TranslationGraph, cycle: Sequence[LexicalEntry]) -> float:
     if len(vids) < 3 or len(set(vids)) != len(vids):
         raise NotACycle("need >= 3 distinct vertices")
     for u, v in zip(vids, vids[1:] + vids[:1]):
-        if v not in g.adj_set(u):
+        if v not in g.adj(u):
             raise NotACycle(f"missing edge {g.entry_of(u)} -- {g.entry_of(v)}")
     return _induced_density(g, vids)
 
@@ -306,7 +306,7 @@ def transitive_predict(
                         dist[w] = d
                         nxt.append(w)
             frontier = nxt
-        adjacent = g.adj_set(sid)
+        adjacent = g.adj(sid)
         for v in dist:
             ev = g.entry_of(v)
             if v != sid and v not in adjacent and ev.lang == target_lang and ev.pos == src.pos:

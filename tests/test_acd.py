@@ -9,12 +9,16 @@ from lexinduce import (
     LexicalEntry,
     MissingPivotDictionaries,
     ScoredPair,
+    SynthParams,
     UnknownLanguage,
     acd_predict,
     build_graph,
     build_pivot_table,
+    generate,
     merge_scored,
     otic_predict,
+    otic_type_b,
+    predict,
     threshold_filter,
 )
 from oracles import random_pivot_instance
@@ -45,7 +49,7 @@ def test_threshold_is_inclusive():
 def test_merge_keeps_max_and_prefers_type_b_on_ties():
     merged = merge_scored({sp(2 / 3, "cycle")}, {sp(1.0, "type_b")})
     assert merged == {sp(1.0, "type_b")}
-    tied = merge_scored({sp(1.0, "transitive")}, {sp(1.0, "type_b")}, {sp(1.0, "cycle")})
+    tied = merge_scored({sp(1.0, "transitive")}, {sp(1.0, "type_a")}, {sp(1.0, "type_b")}, {sp(1.0, "cycle")})
     assert tied == {sp(1.0, "type_b")}
 
 
@@ -119,3 +123,39 @@ def test_reduces_to_otic_with_single_pivot(tau):
         cfg = AcdConfig(params=REDUCTION_PARAMS, pivot="cc", threshold=tau)
         got = {(sp.source, sp.target) for sp in acd_predict(g, "aa", "bb", cfg)}
         assert got == otic_predict(table)
+
+
+def synth_with_direct_dictionary(seed):
+    """A 4-language synth instance whose input includes the aa-ab dictionary."""
+    inst = generate(SynthParams(n_langs=4, n_senses=80, polysemy_rate=0.2, edge_prob=0.6, seed=seed))
+    assert inst.dictionaries[("aa", "ab")]
+    return inst.graph, inst.dictionaries[("aa", "ab")]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cd_and_acd_never_predict_an_input_edge(seed):
+    g, direct = synth_with_direct_dictionary(seed)
+    params = InferenceParams(threshold=0.0)
+    for algo in ("cd", "acd"):
+        got = predict(g, algo, "aa", "ab", params, pivot="ac")
+        assert got
+        assert not {(p.source, p.target) for p in got} & set(direct)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_otic_is_otic_predict_with_direct_edges(seed):
+    g, _ = synth_with_direct_dictionary(seed)
+    table = build_pivot_table(g, "aa", "ac", "ab")
+    type_b = otic_type_b(table)
+    want = {ScoredPair(a, b, 1.0, "type_b" if (a, b) in type_b else "type_a") for a, b in otic_predict(table)}
+    assert predict(g, "otic", "aa", "ab", InferenceParams(), pivot="ac") == want
+    assert any(g.has_edge(p.source, p.target) for p in want)  # the direct-edge rule is exercised
+
+
+def test_predict_rejects_unknown_algorithm_and_missing_pivot():
+    g, cfg, *_ = acd_fixture()
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        predict(g, "foo", "aa", "bb", cfg.params, pivot="cc")
+    for algo in ("otic", "acd"):
+        with pytest.raises(UnknownLanguage):
+            predict(g, algo, "aa", "bb", cfg.params)

@@ -84,6 +84,33 @@ def test_generate_unknown_language_is_input_error(synth_dir, tmp_path):
     assert code == 2
 
 
+def test_config_unknown_algo_fails_before_ingest(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo=foo\n", encoding="utf-8")
+    code = main(["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(tmp_path / "nope.tsv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "p.tsv")])
+    assert code == 1
+    assert "unknown algorithm: 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["otic", "cd", "acd"])
+def test_generate_writes_predict_rows(tmp_path, algo):
+    from lexinduce import InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict, write_predictions
+
+    inst = tmp_path / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "4", "--senses", "60",
+                 "--polysemy", "0.2", "--edge-prob", "0.6", "--seed", "5"]) == 0
+    manifest = str(inst / "manifest.tsv")
+    cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
+    assert main(["generate", "--algo", algo, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", manifest, "--out", str(cli), "--threshold", "0.5"]) == 0
+    g = build_graph(parse_dictionaries(parse_manifest(manifest)))
+    scored = predict(g, algo, "aa", "ab", InferenceParams(threshold=0.5), pivot="ac")
+    write_predictions(str(lib), [(p.source, p.target, p.confidence, p.provenance) for p in scored])
+    assert len(read(cli).splitlines()) > 1
+    assert read(cli) == read(lib)
+
+
 def test_generate_missing_manifest_is_input_error(tmp_path):
     code = main([
         "generate", "--algo", "cd", "--src", "aa", "--tgt", "ab",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 from lexinduce import (
     IntraLanguagePair,
     LexicalEntry,
-    UnknownVertex,
     build_graph,
-    context_subgraph,
+    lang_codes,
 )
 from oracles import random_multipartite_graph, to_nx
 
@@ -58,54 +58,40 @@ def test_edge_roundtrip():
     assert rebuilt == {frozenset(p) for p in pairs}
 
 
-def path_graph():
-    # a - b - c - d
-    return build_graph(
-        [
-            (e("a", "aa"), e("b", "bb")),
-            (e("b", "bb"), e("c", "cc")),
-            (e("c", "cc"), e("d", "dd")),
-        ]
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 4))
+def test_bfs_distances_match_networkx(seed, depth):
+    rng = random.Random(seed)
+    g = random_multipartite_graph(rng, 3, 12, 0.3)
+    src = g.vertices[rng.randrange(g.vertex_count)]
+    got = g.bfs_distances(g.id_of(src), depth)
+    assert {g.entry_of(v): d for v, d in got.items()} == nx.single_source_shortest_path_length(
+        to_nx(g), src, cutoff=depth
     )
 
 
-def test_context_subgraph_depth2():
-    sub = context_subgraph(path_graph(), e("a", "aa"), 2)
-    assert set(sub.vertices) == {e("a", "aa"), e("b", "bb"), e("c", "cc")}
-    assert sub.edge_count == 2
-
-
-def test_context_subgraph_saturates_at_component():
-    g = path_graph()
-    sub = context_subgraph(g, e("a", "aa"), 10)
-    assert set(sub.vertices) == set(g.vertices)
-
-
-def test_context_subgraph_isolated_source():
-    g = build_graph([(e("a", "aa"), e("b", "bb"))], extra_vertices=[e("x", "xx")])
-    sub = context_subgraph(g, e("x", "xx"), 3)
-    assert sub.vertices == (e("x", "xx"),)
-    assert sub.edge_count == 0
-
-
-def test_context_subgraph_unknown_vertex():
-    with pytest.raises(UnknownVertex):
-        context_subgraph(path_graph(), e("zz", "zz"), 1)
-
-
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10**6), d1=st.integers(1, 4), d2=st.integers(1, 4))
-def test_context_subgraph_monotone_and_bfs_checked(seed, d1, d2):
+@given(seed=st.integers(0, 10**6), n_langs=st.integers(2, 5), edge_prob=st.sampled_from([0.1, 0.3, 0.7]))
+def test_graph_matches_networkx(seed, n_langs, edge_prob):
     rng = random.Random(seed)
-    g = random_multipartite_graph(rng, 3, 12, 0.3)
-    if g.vertex_count == 0:
-        return
-    src = g.vertices[rng.randrange(g.vertex_count)]
-    lo, hi = min(d1, d2), max(d1, d2)
-    small = set(context_subgraph(g, src, lo).vertices)
-    big = set(context_subgraph(g, src, hi).vertices)
-    assert small <= big
-    # independent BFS distance check via networkx
-    dist = nx.single_source_shortest_path_length(to_nx(g), src)
-    assert all(dist[v] <= hi for v in big)
-    assert big == {v for v, d in dist.items() if d <= hi}
+    langs = lang_codes(n_langs)
+    entries = [e(f"v{i}", rng.choice(langs)) for i in range(16)]
+    pairs = [(u, v) for u, v in itertools.combinations(entries, 2) if u.lang != v.lang and rng.random() < edge_prob]
+    G = nx.Graph(pairs)
+    # every pair once more, half of them reversed, all in random order
+    pairs += [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(pairs)
+    g = build_graph(pairs)
+
+    edges = list(map(frozenset, g.edges()))
+    assert len(edges) == g.edge_count == G.number_of_edges()
+    assert set(edges) == set(map(frozenset, G.edges()))
+    for u, v in itertools.product(g.vertices, repeat=2):
+        assert g.has_edge(u, v) == G.has_edge(u, v)
+    oriented = [p for u, v in G.edges() for p in ((u, v), (v, u))]
+    for la, lb in itertools.product(langs, repeat=2):
+        got = g.edges_between(la, lb)
+        assert len(got) == len(set(got))
+        assert set(got) == {(u, v) for u, v in oriented if u.lang == la and v.lang == lb}
+    for vid in range(g.vertex_count):
+        assert list(g.adj(vid)) == sorted(set(g.adj(vid)))
