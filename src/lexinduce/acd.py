@@ -13,13 +13,12 @@ from typing import Iterable
 
 from .errors import UnknownLanguage
 from .graph import TranslationGraph
-from .inference import InferenceParams, ScoredPair, cd_predict, transitive_predict
+from .inference import PROVENANCES, InferenceParams, ScoredPair, cd_predict, transitive_predict
 from .otic import build_pivot_table, otic_type_a, otic_type_b
 
 ALGORITHMS = ("otic", "cd", "acd")
 
-# On equal confidence the merge prefers the more specific provenance.
-_PROV_RANK = {"type_b": 0, "type_a": 1, "transitive": 2, "cycle": 3}
+_PROV_RANK = {prov: rank for rank, prov in enumerate(PROVENANCES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +77,8 @@ def predict(
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algo!r}")
+    if source_lang == target_lang:
+        raise ValueError(f"source and target are both {source_lang!r}")
     groups: list[set[ScoredPair]] = []
     if algo != "cd":
         if pivot in (None, source_lang, target_lang):

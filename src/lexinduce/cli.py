@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from collections import Counter
+from dataclasses import fields
 
 from . import dictio
 from .acd import ALGORITHMS, predict
@@ -46,65 +47,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-CONFIG_KEYS = frozenset({
-    "algo", "pivot", "threads", "bcc_filter", "min_len", "max_len",
-    "context_depth", "threshold", "transitive_pos", "transitive_depth",
-})
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
-def load_config(path) -> dict[str, str]:
+# Each `generate` setting and the parser of its text. The table gives each
+# its `--flag` and is the set of config keys; defaults live in `inference`.
+SETTINGS = {
+    "algo": str,
+    "pivot": normalize_lang,
+    "threads": int,  # validated only: the search is serial
+    "bcc_filter": _switch,
+    "min_len": int,
+    "max_len": int,
+    "context_depth": int,
+    "threshold": float,
+    "transitive_pos": lambda text: frozenset(t for t in text.split(",") if t),
+    "transitive_depth": int,
+}
+
+
+def load_config(path) -> dict:
     """Flat key=value config; `#` comments and blank lines ignored.
 
-    Only the keys `generate` reads (`CONFIG_KEYS`) are accepted, so a
-    misspelt key fails with `path:line` instead of being ignored.
+    A key outside `SETTINGS` or a value that does not parse fails with
+    `path:line` instead of being ignored.
     """
-    out: dict[str, str] = {}
+    out = {}
     for lineno, line in dictio._data_lines(path):
         if "=" not in line:
             raise dictio.MalformedLine(path, lineno, "expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
             raise dictio.MalformedLine(path, lineno, f"unknown key: {key!r}")
-        out[key] = value.strip()
+        try:
+            out[key] = SETTINGS[key](value)
+        except ValueError as exc:
+            raise dictio.MalformedLine(path, lineno, f"{key}: {exc}") from None
     return out
 
 
-def _resolve(args, config: dict[str, str], name: str, default, cast):
-    """Flag value if given, else config value, else the default."""
-    val = getattr(args, name)
-    if val is not None:
-        return val
-    if name in config:
-        return cast(config[name])
-    return default
+def _given(cls, settings: dict) -> dict:
+    """The settings that name a field of `cls`; the other fields keep their defaults."""
+    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
 
-def _build_params(args, config) -> InferenceParams:
-    constraints = CycleConstraints(
-        min_len=_resolve(args, config, "min_len", 4, int),
-        max_len=_resolve(args, config, "max_len", 6, int),
-        context_depth=_resolve(args, config, "context_depth", 3, int),
-    )
-    pos = _resolve(args, config, "transitive_pos", "np,num", str)
-    return InferenceParams(
-        constraints=constraints,
-        threshold=_resolve(args, config, "threshold", 0.6, float),
-        transitive_pos=frozenset(t for t in pos.split(",") if t),
-        transitive_depth=_resolve(args, config, "transitive_depth", 4, int),
-    )
+def _check_pair(args) -> None:
+    if args.src == args.tgt:
+        raise UsageError(f"--src and --tgt are both {args.src!r}")
 
 
 def cmd_generate(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    algo = _resolve(args, config, "algo", "acd", str)
+    _check_pair(args)
+    settings = load_config(args.config) if args.config else {}
+    settings.update((k, v) for k in SETTINGS if (v := getattr(args, k)) is not None)
+    algo = settings.get("algo", "acd")
     if algo not in ALGORITHMS:
         raise UsageError(f"unknown algorithm: {algo!r}")
-    pivot = _resolve(args, config, "pivot", None, str)
+    pivot = settings.get("pivot")
     if algo != "cd" and not pivot:
         raise UsageError(f"--pivot is required for --algo {algo}")
-    params = _build_params(args, config)
-    _resolve(args, config, "threads", 1, int)  # validated only: the search is serial
+    params = InferenceParams(
+        constraints=CycleConstraints(**_given(CycleConstraints, settings)),
+        **_given(InferenceParams, settings),
+    )
 
     # Ingest allocates only acyclic containers, so the cyclic collector
     # would find nothing there; and the graph lives to the end of the run,
@@ -112,7 +121,7 @@ def cmd_generate(args) -> int:
     gc.disable()
     try:
         specs = dictio.parse_manifest(args.manifest)
-        if _resolve(args, config, "bcc_filter", False, lambda s: s.lower() in ("1", "true", "yes")):
+        if settings.get("bcc_filter"):
             specs = largest_biconnected_language_component(specs)
             log.info("bcc filter kept %d dictionaries", len(specs))
         g = build_graph(dictio.parse_dictionaries(specs))
@@ -165,13 +174,14 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 
 
 def cmd_evaluate(args) -> int:
+    _check_pair(args)
     sweep = _parse_sweep(args.sweep) if args.sweep else None
     preds = dictio.read_predictions(args.pred, args.src, args.tgt)
     gold_pairs = dictio.parse_dictionary(dictio.DictionarySpec(args.gold, args.src, args.tgt))
     vocab = None
     if args.manifest:
         # BWR reads only the source and target vocabularies, so no graph is built.
-        vocab = {normalize_lang(args.src): set(), normalize_lang(args.tgt): set()}
+        vocab = {args.src: set(), args.tgt: set()}
         for pair in dictio.parse_dictionaries(dictio.parse_manifest(args.manifest)):
             for entry in pair:
                 if entry.lang in vocab:
@@ -241,27 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="predict one language pair from a dictionary manifest")
     gen.add_argument("--manifest", required=True)
-    gen.add_argument("--src", required=True)
-    gen.add_argument("--tgt", required=True)
-    gen.add_argument("--pivot")
-    gen.add_argument("--algo", choices=ALGORITHMS, default=None)
+    gen.add_argument("--src", required=True, type=normalize_lang)
+    gen.add_argument("--tgt", required=True, type=normalize_lang)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--bcc-filter", dest="bcc_filter", action="store_const", const=True)
     gen.add_argument("--config")
-    gen.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-    gen.add_argument("--context-depth", dest="context_depth", type=int)
-    gen.add_argument("--min-len", dest="min_len", type=int)
-    gen.add_argument("--max-len", dest="max_len", type=int)
-    gen.add_argument("--threshold", type=float)
-    gen.add_argument("--transitive-pos", dest="transitive_pos")
-    gen.add_argument("--transitive-depth", dest="transitive_depth", type=int)
+    for name, parse in SETTINGS.items():
+        kind = {"action": "store_const", "const": True} if parse is _switch else {"type": parse}
+        gen.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
     gen.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="score a prediction file against a gold dictionary")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gold", required=True)
-    ev.add_argument("--src", required=True)
-    ev.add_argument("--tgt", required=True)
+    ev.add_argument("--src", required=True, type=normalize_lang)
+    ev.add_argument("--tgt", required=True, type=normalize_lang)
     ev.add_argument("--manifest", help="input dictionaries, used for the BWR vocabulary")
     ev.add_argument("--sweep", help="threshold sweep start:stop:step, one output row per threshold")
     ev.add_argument("--report", help="also write the output lines to this file")

@@ -10,7 +10,7 @@ the README.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 from .entries import LexicalEntry
@@ -36,19 +36,8 @@ class EvalReport:
     warnings: tuple[str, ...] = field(default=())
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "coverage": self.coverage,
-            "bwp": self.bwp,
-            "bwr": self.bwr,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "correct": self.correct,
-            "bwp_denominator": self.bwp_denominator,
-            "bwr_denominator": self.bwr_denominator,
-        }
+        """Every field but `warnings`, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "warnings"}
 
 
 def _ratio(num: int, den: int, name: str, warnings: list[str]) -> float:

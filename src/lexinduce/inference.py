@@ -15,7 +15,8 @@ from .entries import LexicalEntry
 from .errors import NotACycle, UnknownLanguage
 from .graph import TranslationGraph
 
-PROVENANCES = ("cycle", "type_b", "transitive", "type_a")
+# In merge preference: on equal confidence the more specific provenance wins.
+PROVENANCES = ("type_b", "type_a", "transitive", "cycle")
 
 
 @dataclass(frozen=True, slots=True)

@@ -159,3 +159,10 @@ def test_predict_rejects_unknown_algorithm_and_missing_pivot():
     for algo in ("otic", "acd"):
         with pytest.raises(UnknownLanguage):
             predict(g, algo, "aa", "bb", cfg.params)
+
+
+@pytest.mark.parametrize("algo", ["otic", "cd", "acd"])
+def test_predict_rejects_same_source_and_target(algo):
+    g, cfg, *_ = acd_fixture()
+    with pytest.raises(ValueError, match="source and target are both 'aa'"):
+        predict(g, algo, "aa", "aa", cfg.params, pivot="cc")

@@ -93,8 +93,13 @@ def test_config_unknown_algo_fails_before_ingest(tmp_path, capsys):
     assert "unknown algorithm: 'foo'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo", ["otic", "cd", "acd"])
-def test_generate_writes_predict_rows(tmp_path, algo):
+@pytest.mark.parametrize("algo, threshold", [
+    pytest.param("otic", 0.5, id="otic"),
+    pytest.param("cd", 0.5, id="cd"),
+    pytest.param("acd", 0.5, id="acd"),
+    pytest.param(None, None, id="no-settings"),  # the CLI's defaults are the dataclasses'
+])
+def test_generate_writes_predict_rows(tmp_path, algo, threshold):
     from lexinduce import InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict, write_predictions
 
     inst = tmp_path / "inst"
@@ -102,10 +107,12 @@ def test_generate_writes_predict_rows(tmp_path, algo):
                  "--polysemy", "0.2", "--edge-prob", "0.6", "--seed", "5"]) == 0
     manifest = str(inst / "manifest.tsv")
     cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
-    assert main(["generate", "--algo", algo, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
-                 "--manifest", manifest, "--out", str(cli), "--threshold", "0.5"]) == 0
+    flags = [] if algo is None else ["--algo", algo, "--threshold", str(threshold)]
+    assert main(["generate", *flags, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", manifest, "--out", str(cli)]) == 0
+    params = InferenceParams() if threshold is None else InferenceParams(threshold=threshold)
     g = build_graph(parse_dictionaries(parse_manifest(manifest)))
-    scored = predict(g, algo, "aa", "ab", InferenceParams(threshold=0.5), pivot="ac")
+    scored = predict(g, algo or "acd", "aa", "ab", params, pivot="ac")
     write_predictions(str(lib), [(p.source, p.target, p.confidence, p.provenance) for p in scored])
     assert len(read(cli).splitlines()) > 1
     assert read(cli) == read(lib)
@@ -193,6 +200,63 @@ def test_config_unknown_key_is_input_error(synth_dir, tmp_path, capsys):
     assert code == 2
     assert f"{cfg}:3: unknown key: 'treshold'" in capsys.readouterr().err
     assert not (tmp_path / "p.tsv").exists()
+
+
+@pytest.mark.parametrize("line", ["min_len=abc", "threads=x", "threshold=high", "bcc_filter=ture"])
+def test_config_bad_value_fails_on_its_line(synth_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"algo=acd\n{line}\npivot=ac\n", encoding="utf-8")
+    out = tmp_path / "p.tsv"
+    code = main(["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"),
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"{cfg}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                      ("0", False), ("false", False), ("NO", False)])
+def test_config_switch_words(synth_dir, tmp_path, monkeypatch, word, on):
+    calls = []
+    monkeypatch.setattr("lexinduce.cli.largest_biconnected_language_component", lambda specs: calls.append(specs) or specs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"bcc_filter={word}\n", encoding="utf-8")
+    assert main(["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "p.tsv")]) == 0
+    assert bool(calls) is on
+
+
+def test_language_codes_are_case_insensitive(tmp_path):
+    inst = tmp_path / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "4", "--senses", "60",
+                 "--polysemy", "0.2", "--edge-prob", "0.6", "--seed", "5"]) == 0
+    manifest = str(inst / "manifest.tsv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pivot=AC\n", encoding="utf-8")
+    runs = {
+        "lower": ["--src", "aa", "--tgt", "ab", "--pivot", "ac"],
+        "upper": ["--src", "AA", "--tgt", "AB", "--pivot", "AC"],
+        "config": ["--src", "aa", "--tgt", "ab", "--config", str(cfg)],
+    }
+    outs = []
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.tsv"
+        assert main(["generate", "--algo", "acd", *flags, "--manifest", manifest, "--out", str(out)]) == 0
+        outs.append(read(out))
+    assert len(outs[0].splitlines()) > 1
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_same_source_and_target_is_usage_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.tsv")  # no file exists: the check comes before any read
+    if command == "generate":
+        argv = ["generate", "--src", "aa", "--tgt", "AA", "--pivot", "ac", "--manifest", missing,
+                "--config", missing, "--out", str(tmp_path / "p.tsv")]
+    else:
+        argv = ["evaluate", "--pred", missing, "--gold", missing, "--src", "aa", "--tgt", "AA"]
+    assert main(argv) == 1
+    assert "usage error: --src and --tgt are both 'aa'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", ["0:1:0", "0:1:-0.1", "1:0:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "1:2:1e-17"])
