@@ -21,7 +21,7 @@ from dataclasses import fields
 
 from . import dictio
 from .acd import ALGORITHMS, predict
-from .entries import normalize_lang
+from .entries import normalize_field, normalize_lang
 from .errors import LexinduceError
 from .evaluation import evaluate
 from .graph import build_graph
@@ -65,7 +65,7 @@ SETTINGS = {
     "max_len": int,
     "context_depth": int,
     "threshold": float,
-    "transitive_pos": lambda text: frozenset(t for t in text.split(",") if t),
+    "transitive_pos": lambda text: frozenset(t for t in map(normalize_field, text.split(",")) if t),
     "transitive_depth": int,
 }
 
@@ -110,6 +110,8 @@ def cmd_generate(args) -> int:
     pivot = settings.get("pivot")
     if algo != "cd" and not pivot:
         raise UsageError(f"--pivot is required for --algo {algo}")
+    if algo != "cd" and pivot in (args.src, args.tgt):
+        raise UsageError(f"--pivot {pivot!r} is the source or target language")
     params = InferenceParams(
         constraints=CycleConstraints(**_given(CycleConstraints, settings)),
         **_given(InferenceParams, settings),

@@ -105,6 +105,8 @@ def parse_manifest(path) -> list[DictionarySpec]:
         for code in (lang_a, lang_b):
             if not LANG_RE.match(code):
                 raise MalformedLine(path, lineno, f"bad language code: {code!r}")
+        if lang_a == lang_b:
+            raise MalformedLine(path, lineno, f"both languages are {lang_a!r}")
         if not os.path.isabs(dict_path):
             dict_path = os.path.join(base, dict_path)
         specs.append(DictionarySpec(dict_path, lang_a, lang_b))

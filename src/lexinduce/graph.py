@@ -7,7 +7,6 @@ work on plain int adjacency lists; everything exposed publicly speaks in
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .entries import LexicalEntry
@@ -78,9 +77,6 @@ class TranslationGraph:
     def languages(self) -> tuple[str, ...]:
         return tuple(sorted(self._lang_ids))
 
-    def __contains__(self, entry: LexicalEntry) -> bool:
-        return entry in self._ids
-
     def entries_of_lang(self, lang: str) -> tuple[LexicalEntry, ...]:
         return tuple(self._entries[i] for i in self.ids_of_lang(lang))
 
@@ -129,21 +125,6 @@ class TranslationGraph:
 
     def adj(self, vid: int) -> Sequence[int]:
         return self._adj[vid]
-
-    def bfs_distances(self, start: int, max_depth: int) -> dict[int, int]:
-        """Shortest-path distances from `start`, capped at `max_depth`."""
-        dist = {start: 0}
-        frontier = deque([start])
-        while frontier:
-            u = frontier.popleft()
-            d = dist[u]
-            if d == max_depth:
-                continue
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = d + 1
-                    frontier.append(w)
-        return dist
 
 
 def build_graph(pairs: Iterable[Pair], extra_vertices: Iterable[LexicalEntry] = ()) -> TranslationGraph:

@@ -89,21 +89,31 @@ def cycle_density(g: TranslationGraph, cycle: Sequence[LexicalEntry]) -> float:
     return _induced_density(g, vids)
 
 
-def _ball(
-    g: TranslationGraph, sid: int, depth: int
-) -> tuple[list[int], list[list[int]], list[int], list[int]]:
+def _ball(g: TranslationGraph, sid: int, depth: int) -> tuple[list[int], list[int], dict[int, int]]:
     """The BFS ball of radius `depth` around `sid`, on local vertex ids.
 
-    Local ids follow BFS order, so the source is 0. BFS walks the sorted
-    `g.adj(sid)` first, so the source's neighbours get local ids
-    1..deg in ascending graph-id order: comparing two of them by local id
-    is comparing them by graph id. Returns, per local id, the graph id,
-    the ball neighbours as local ids, the BFS distance, and the ball
-    neighbours as a bit mask.
+    Local ids follow BFS order, so the source is 0 and distances never
+    decrease along them. BFS walks the sorted `g.adj(sid)` first, so the
+    source's neighbours get local ids 1..deg in ascending graph-id order:
+    comparing two of them by local id is comparing them by graph id.
+    Returns, per local id, the graph id and the BFS distance, and the map
+    from graph id to local id.
     """
-    dist_of = g.bfs_distances(sid, depth)
-    gids = list(dist_of)
-    local = {v: i for i, v in enumerate(gids)}
+    gids, dist, local = [sid], [0], {sid: 0}
+    for i, u in enumerate(gids):  # `gids` grows behind the loop: it is the BFS queue
+        d = dist[i] + 1
+        if d > depth:
+            break
+        for w in g.adj(u):
+            if w not in local:
+                local[w] = len(gids)
+                gids.append(w)
+                dist.append(d)
+    return gids, dist, local
+
+
+def _wire(g: TranslationGraph, gids: list[int], local: dict[int, int]) -> tuple[list[list[int]], list[int]]:
+    """The ball neighbours of each ball vertex, as local ids and as a bit mask."""
     nbrs: list[list[int]] = []
     masks: list[int] = []
     for v in gids:
@@ -113,7 +123,7 @@ def _ball(
             mask |= 1 << i
         nbrs.append(row)
         masks.append(mask)
-    return gids, nbrs, list(dist_of.values()), masks
+    return nbrs, masks
 
 
 def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limit: int) -> list[int]:
@@ -152,14 +162,15 @@ def _cycles_holding(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Bounded simple cycles through local id 0 that hold a marked vertex.
 
-    Depth-first search over the ball. Until the path holds a marked
-    vertex, it extends to `w` only if the path length plus `h[w]`, the
-    fewest edges from `w` through a marked vertex back to the source,
-    fits the budget; afterwards the bound is the BFS distance `dist[w]`.
-    Both are lower bounds on the rest of the cycle, so no cycle holding a
-    marked vertex is lost. Each cycle is found in both orientations;
-    keeping only paths whose second vertex id is below the last one
-    reports it exactly once.
+    Depth-first search over the ball. The path extends to `w` only if
+    its length plus `bound[w]` fits the budget. Until the path holds a
+    marked vertex, `bound` is `h`: `h[w]` is the fewest edges from `w`
+    through a marked vertex back to the source. Afterwards it is the BFS
+    distance `dist`, and only then can the path close. Both are lower
+    bounds on the rest of the cycle, so no cycle holding a marked vertex
+    is lost. Each cycle is found in both orientations; keeping only
+    paths whose second vertex id is below the last one reports it
+    exactly once.
 
     The path is kept as a bit mask `on`, and each push adds the new
     vertex's edges to the path, so a closed cycle comes with the edge
@@ -172,36 +183,26 @@ def _cycles_holding(
     cycles: list[tuple[tuple[int, ...], int]] = []
     path = [0]
 
-    def free(v: int, on: int, edges: int):
+    def walk(v: int, on: int, edges: int, bound: list[int]):
         budget = len(path)
+        if bound is dist:  # the path holds a marked vertex
+            if dist[v] == 1 and budget >= min_len and path[1] < v:
+                cycles.append((tuple(path), edges))  # v closes the cycle back to the source
+            if budget == last:
+                # The next vertex is the last one, so it must be a neighbour of the source.
+                first, adj = path[1], masks[v]
+                for w in ends:
+                    if first < w and adj >> w & 1 and not on >> w & 1:
+                        cycles.append(((*path, w), edges + (masks[w] & on).bit_count()))
+                return
         for w in nbrs[v]:
-            if not on >> w & 1 and budget + h[w] <= max_len:
+            if not on >> w & 1 and budget + bound[w] <= max_len:
                 path.append(w)
-                if marked[w]:
-                    held(w, on | 1 << w, edges + (masks[w] & on).bit_count())
-                else:
-                    free(w, on | 1 << w, edges + (masks[w] & on).bit_count())
+                walk(w, on | 1 << w, edges + (masks[w] & on).bit_count(), dist if marked[w] else bound)
                 path.pop()
 
-    def held(v: int, on: int, edges: int):
-        budget = len(path)
-        if dist[v] == 1 and budget >= min_len and path[1] < v:
-            cycles.append((tuple(path), edges))  # v closes the cycle back to the source
-        if budget == last:
-            # The next vertex is the last one, so it must be a neighbour of the source.
-            first, adj = path[1], masks[v]
-            for w in ends:
-                if first < w and adj >> w & 1 and not on >> w & 1:
-                    cycles.append(((*path, w), edges + (masks[w] & on).bit_count()))
-            return
-        for w in nbrs[v]:
-            if not on >> w & 1 and budget + dist[w] <= max_len:
-                path.append(w)
-                held(w, on | 1 << w, edges + (masks[w] & on).bit_count())
-                path.pop()
-
-    free(0, 1, 0)
-    free = held = None  # the closures name each other; free them by refcount
+    walk(0, 1, 0, h)
+    walk = None  # the closure names itself; free it by refcount
     return cycles
 
 
@@ -214,7 +215,8 @@ def enumerate_cycles(
     so the second vertex is the smaller of the source's two cycle
     neighbors by internal id.
     """
-    gids, nbrs, dist, masks = _ball(g, g.id_of(source), c.context_depth)
+    gids, dist, local = _ball(g, g.id_of(source), c.context_depth)
+    nbrs, masks = _wire(g, gids, local)
     entries = [g.entry_of(v) for v in gids]
     # Every ball vertex is marked, so each cycle holds one from its second
     # vertex on and the search bound is the plain BFS distance.
@@ -230,15 +232,16 @@ def _cd_for_source(g: TranslationGraph, sid: int, target_lang: str, c: CycleCons
     can hold a candidate are searched, and only closed ones are scored.
     """
     src = g.entry_of(sid)
-    gids, nbrs, dist, masks = _ball(g, sid, c.context_depth)
+    gids, dist, local = _ball(g, sid, c.context_depth)
     # Local ids 0..deg are the source and its neighbours, so candidates start after them.
     targets = []
-    for i in range(len(nbrs[0]) + 1, len(gids)):
+    for i in range(len(g.adj(sid)) + 1, len(gids)):
         ev = g.entry_of(gids[i])
         if ev.lang == target_lang and ev.pos == src.pos:
             targets.append(i)
     if not targets:
         return []
+    nbrs, masks = _wire(g, gids, local)
     marked = [False] * len(gids)
     for t in targets:
         marked[t] = True

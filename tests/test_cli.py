@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import lexinduce
-from lexinduce.cli import main
+from lexinduce.cli import load_config, main
 
 
 def run(capsys, *argv):
@@ -232,10 +233,12 @@ def test_language_codes_are_case_insensitive(tmp_path):
                  "--polysemy", "0.2", "--edge-prob", "0.6", "--seed", "5"]) == 0
     manifest = str(inst / "manifest.tsv")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("pivot=AC\n", encoding="utf-8")
+    # POS tags are read as entry POS tags are: trimmed, and case kept
+    cfg.write_text("pivot=AC\ntransitive_pos=num, n\n", encoding="utf-8")
+    assert load_config(str(cfg))["transitive_pos"] == {"n", "num"}
     runs = {
-        "lower": ["--src", "aa", "--tgt", "ab", "--pivot", "ac"],
-        "upper": ["--src", "AA", "--tgt", "AB", "--pivot", "AC"],
+        "lower": ["--src", "aa", "--tgt", "ab", "--pivot", "ac", "--transitive-pos", "n,num"],
+        "upper": ["--src", "AA", "--tgt", "AB", "--pivot", "AC", "--transitive-pos", " n , num,"],
         "config": ["--src", "aa", "--tgt", "ab", "--config", str(cfg)],
     }
     outs = []
@@ -243,7 +246,7 @@ def test_language_codes_are_case_insensitive(tmp_path):
         out = tmp_path / f"{name}.tsv"
         assert main(["generate", "--algo", "acd", *flags, "--manifest", manifest, "--out", str(out)]) == 0
         outs.append(read(out))
-    assert len(outs[0].splitlines()) > 1
+    assert "\ttransitive\n" in outs[0]
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -257,6 +260,23 @@ def test_same_source_and_target_is_usage_error(tmp_path, capsys, command):
         argv = ["evaluate", "--pred", missing, "--gold", missing, "--src", "aa", "--tgt", "AA"]
     assert main(argv) == 1
     assert "usage error: --src and --tgt are both 'aa'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo, pivot, code", [
+    ("acd", "AA", 1),
+    ("otic", "ab", 1),
+    ("otic", None, 1),  # pivot=ab from the config file
+    ("cd", "aa", 2),  # cd takes no pivot; the missing manifest fails
+])
+def test_pivot_equal_to_source_or_target_is_usage_error(tmp_path, capsys, algo, pivot, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pivot=ab\n", encoding="utf-8")
+    flags = ["--config", str(cfg)] if pivot is None else ["--pivot", pivot]
+    argv = ["generate", "--algo", algo, "--src", "aa", "--tgt", "ab", *flags,
+            "--manifest", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "p.tsv")]
+    assert main(argv) == code
+    if code == 1:
+        assert "usage error: --pivot" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", ["0:1:0", "0:1:-0.1", "1:0:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "1:2:1e-17"])
@@ -303,8 +323,8 @@ def _shuffled_copy(src_dir, dst_dir, seed):
         (dst_dir / name).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
 
 
-@pytest.mark.parametrize("algo_flags", [["--algo", "acd"], ["--algo", "otic", "--bcc-filter"]])
-def test_generate_independent_of_input_order(tmp_path, algo_flags):
+def _bridged_instance(tmp_path):
+    """A 5-language synth instance whose `ae` is joined by one dictionary only."""
     inst = tmp_path / "inst"
     assert main(["synth", "--out-dir", str(inst), "--langs", "5", "--senses", "60",
                  "--polysemy", "0.2", "--edge-prob", "0.7", "--seed", "11"]) == 0
@@ -312,6 +332,32 @@ def test_generate_independent_of_input_order(tmp_path, algo_flags):
     manifest = inst / "manifest.tsv"
     rows = [l for l in read(manifest).splitlines() if not l.startswith(("aa\tae", "ab\tae", "ac\tae"))]
     manifest.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    return inst
+
+
+# The sha256 of each prediction file on `_bridged_instance`, so a change to
+# any algorithm's output shows here. OTIC reads only the pivot dictionaries,
+# which the BCC filter keeps, so filtering leaves its file as it is.
+GOLDEN_SHA256 = {
+    "otic": "7e7253b61fa4f6d11b5added94aee6b402a4437b9b3a23dc8c2762e5176f575a",
+    "cd": "9e55c54e95f64257195765144b8447d2ad3fdc345d4c33a7303066199ac4876f",
+    "acd": "53522016e4f6f58b6d9ffc5b14f039e842647eb99c03f7eca53c10ecec420eed",
+    "otic --bcc-filter": "7e7253b61fa4f6d11b5added94aee6b402a4437b9b3a23dc8c2762e5176f575a",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_SHA256))
+def test_generate_output_matches_golden_digest(tmp_path, algo):
+    inst = _bridged_instance(tmp_path)
+    pred = tmp_path / "pred.tsv"
+    assert main(["generate", "--algo", *algo.split(), "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", str(inst / "manifest.tsv"), "--out", str(pred)]) == 0
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() == GOLDEN_SHA256[algo]
+
+
+@pytest.mark.parametrize("algo_flags", [["--algo", "acd"], ["--algo", "otic", "--bcc-filter"]])
+def test_generate_independent_of_input_order(tmp_path, algo_flags):
+    inst = _bridged_instance(tmp_path)
     outs = []
     for seed, d in ((None, inst), (1, tmp_path / "s1"), (2, tmp_path / "s2")):
         if seed is not None:

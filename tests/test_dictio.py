@@ -53,6 +53,13 @@ def test_identical_langs_rejected(tmp_path):
         DictionarySpec("x.tsv", "fr", "fr")
 
 
+def test_manifest_row_naming_one_language_twice_fails_on_its_line(tmp_path):
+    manifest = write(tmp_path, "manifest.tsv", "fr\ten\td1.tsv\naa\tAA\td2.tsv\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_manifest(manifest)
+    assert (exc.value.path, exc.value.lineno) == (manifest, 2)
+
+
 def test_leading_bom_dropped(tmp_path):
     bom = "\ufeff"
     path = write(tmp_path, "d.tsv", bom + "# rep_a\tpos_a\trep_b\tpos_b\nchien\tn\tdog\tn\n")

@@ -11,6 +11,7 @@ from lexinduce import (
     build_graph,
     lang_codes,
 )
+from lexinduce.inference import _ball
 from oracles import random_multipartite_graph, to_nx
 
 import networkx as nx
@@ -60,14 +61,22 @@ def test_edge_roundtrip():
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10**6), depth=st.integers(0, 4))
-def test_bfs_distances_match_networkx(seed, depth):
+def test_ball_matches_networkx(seed, depth):
     rng = random.Random(seed)
     g = random_multipartite_graph(rng, 3, 12, 0.3)
     src = g.vertices[rng.randrange(g.vertex_count)]
-    got = g.bfs_distances(g.id_of(src), depth)
-    assert {g.entry_of(v): d for v, d in got.items()} == nx.single_source_shortest_path_length(
+    sid = g.id_of(src)
+    gids, dist, local = _ball(g, sid, depth)
+    assert len(gids) == len(set(gids)) == len(dist)
+    assert {g.entry_of(v): d for v, d in zip(gids, dist)} == nx.single_source_shortest_path_length(
         to_nx(g), src, cutoff=depth
     )
+    assert local == {v: i for i, v in enumerate(gids)}
+    assert gids[0] == sid
+    if depth:
+        # the source's neighbours take local ids 1..deg in ascending graph id
+        assert gids[1 : len(g.adj(sid)) + 1] == sorted(g.adj(sid))
+    assert dist == sorted(dist)
 
 
 @settings(max_examples=50, deadline=None)
