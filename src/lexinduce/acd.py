@@ -71,7 +71,9 @@ def predict(
 
     The groups merged are, per algorithm:
     - otic: Type B and Type A over `pivot`, direct edges included, as
-      the method is defined on the two pivot dictionaries alone;
+      the method is defined on the two pivot dictionaries alone (so it
+      raises MissingPivotDictionaries when either has no edge in `g`,
+      whether or not `g` holds its languages);
     - cd: cycle-density candidates and transitive pairs;
     - acd: cd's groups plus the Type-B pairs that are not direct edges.
     """
@@ -83,8 +85,9 @@ def predict(
     if algo != "cd":
         if pivot in (None, source_lang, target_lang):
             raise UnknownLanguage(f"pivot {pivot!r} must be a language other than source and target")
-        for lang in (source_lang, target_lang, pivot):
-            g.ids_of_lang(lang)
+        if algo == "acd":
+            for lang in (source_lang, target_lang, pivot):
+                g.ids_of_lang(lang)
         table = build_pivot_table(g, source_lang, pivot, target_lang)
         type_b = otic_type_b(table)
         if algo == "otic":

@@ -18,11 +18,12 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields
+from decimal import Decimal
 
 from . import dictio
 from .acd import ALGORITHMS, predict
 from .entries import normalize_field, normalize_lang
-from .errors import LexinduceError
+from .errors import LexinduceError, UnknownLanguage
 from .evaluation import evaluate
 from .graph import build_graph
 from .inference import CycleConstraints, InferenceParams
@@ -126,7 +127,20 @@ def cmd_generate(args) -> int:
         if settings.get("bcc_filter"):
             specs = largest_biconnected_language_component(specs)
             log.info("bcc filter kept %d dictionaries", len(specs))
-        g = build_graph(dictio.parse_dictionaries(specs))
+        # OTIC reads only the (src, pivot) and (pivot, tgt) dictionaries, and
+        # every edge joins the two languages of its row, so no other row can
+        # reach its output. A language is known if a row names it.
+        if algo == "otic":
+            named = {lang for spec in specs for lang in (spec.lang_a, spec.lang_b)}
+            for lang in (args.src, args.tgt, pivot):
+                if lang not in named:
+                    raise UnknownLanguage(lang)
+        pivot_pairs = ({args.src, pivot}, {pivot, args.tgt})
+        chosen = dictio.select_dictionaries(
+            specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs
+        )
+        log.info("read %d of %d dictionaries", len(chosen), len(specs))
+        g = build_graph(dictio.parse_dictionaries(chosen))
     finally:
         gc.enable()
     gc.freeze()
@@ -142,10 +156,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _report_lines(report, prefix=""):
+def _report_lines(report):
     d = report.as_dict()
     summary = " ".join(f"{k}={d[k]:.4f}" for k in ("precision", "recall", "f1", "coverage", "bwp", "bwr"))
-    yield f"{prefix}{summary} predicted={report.predicted} gold={report.gold} correct={report.correct}"
+    yield f"{summary} predicted={report.predicted} gold={report.gold} correct={report.correct}"
     for key, value in d.items():
         yield f"{key}={value}"
     for warning in report.warnings:
@@ -155,11 +169,12 @@ def _report_lines(report, prefix=""):
 MAX_SWEEP_ROWS = 10_001
 
 
-def _parse_sweep(text: str) -> tuple[float, float, int]:
+def _parse_sweep(text: str) -> tuple[float, float, int, int]:
     """`start:stop:step` with finite values, start <= stop and step > 0.
 
-    Returns the start, the step and the row count, which is at most
-    `MAX_SWEEP_ROWS`.
+    Returns the start, the step, the row count, which is at most
+    `MAX_SWEEP_ROWS`, and the decimal places that tell every row's
+    threshold apart: as many as `start` and `step` need, and at least 2.
     """
     try:
         start, stop, step = (float(x) for x in text.split(":"))
@@ -172,7 +187,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     spans = (stop + 1e-9 - start) / step
     if spans >= MAX_SWEEP_ROWS:
         raise UsageError(f"--sweep gives more than {MAX_SWEEP_ROWS} rows")
-    return start, step, math.floor(spans) + 1
+    places = max(2, *(-Decimal(repr(x)).normalize().as_tuple().exponent for x in (start, step)))
+    return start, step, math.floor(spans) + 1, places
 
 
 def cmd_evaluate(args) -> int:
@@ -182,35 +198,41 @@ def cmd_evaluate(args) -> int:
     gold_pairs = dictio.parse_dictionary(dictio.DictionarySpec(args.gold, args.src, args.tgt))
     vocab = None
     if args.manifest:
-        # BWR reads only the source and target vocabularies, so no graph is built.
+        # BWR reads only the source and target vocabularies, so only the rows
+        # that name either language are read, and no graph is built.
         vocab = {args.src: set(), args.tgt: set()}
-        for pair in dictio.parse_dictionaries(dictio.parse_manifest(args.manifest)):
+        specs = dictio.parse_manifest(args.manifest)
+        chosen = dictio.select_dictionaries(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab)
+        log.info("read %d of %d dictionaries", len(chosen), len(specs))
+        for pair in dictio.parse_dictionaries(chosen):
             for entry in pair:
                 if entry.lang in vocab:
                     vocab[entry.lang].add(entry)
 
-    out = open(args.report, "w", encoding="utf-8") if args.report else None
-    def emit(line):
-        print(line)
-        if out:
-            out.write(line + "\n")
-
+    if sweep:
+        start, step, rows, places = sweep
+        lines = ["threshold\tprecision\trecall\tf1\tcoverage\tpredicted"]
+        for i in range(rows):
+            tau = start + i * step  # not a running sum, which a tiny step would never move
+            kept = [(a, b) for a, b, conf in preds if conf >= tau - 1e-12]
+            r = evaluate(kept, gold_pairs, vocab)
+            lines.append(f"{tau:.{places}f}\t{r.precision:.4f}\t{r.recall:.4f}\t{r.f1:.4f}\t{r.coverage:.4f}\t{r.predicted}")
+    else:
+        lines = list(_report_lines(evaluate([(a, b) for a, b, _ in preds], gold_pairs, vocab)))
+    text = "".join(line + "\n" for line in lines)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
     try:
-        if sweep:
-            start, step, rows = sweep
-            emit("threshold\tprecision\trecall\tf1\tcoverage\tpredicted")
-            for i in range(rows):
-                tau = start + i * step  # not a running sum, which a tiny step would never move
-                kept = [(a, b) for a, b, conf in preds if conf >= tau - 1e-12]
-                r = evaluate(kept, gold_pairs, vocab)
-                emit(f"{tau:.2f}\t{r.precision:.4f}\t{r.recall:.4f}\t{r.f1:.4f}\t{r.coverage:.4f}\t{r.predicted}")
-        else:
-            report = evaluate([(a, b) for a, b, _ in preds], gold_pairs, vocab)
-            for line in _report_lines(report):
-                emit(line)
-    finally:
-        if out:
-            out.close()
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader that stops early (`| head`) has all it wants, and the
+        # report is already complete. Point stdout at the null device so
+        # the interpreter's final flush succeeds instead of reporting it.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

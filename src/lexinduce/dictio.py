@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .entries import LexicalEntry, make_entry, normalize_lang, LANG_RE
 from .errors import InvalidSpec, MalformedLine, MissingFile
@@ -82,6 +82,19 @@ def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
                 seen.add(pair)
                 pairs.append(pair)
     return pairs
+
+
+def select_dictionaries(specs: list[DictionarySpec], keep: Callable[[DictionarySpec], bool]) -> list[DictionarySpec]:
+    """The specs that `keep` accepts, in order, once every listed path exists.
+
+    Only existence is checked for the specs left out: a missing file
+    raises `MissingFile` whichever rows are kept, but a spec that is not
+    kept is never opened or parsed.
+    """
+    for spec in specs:
+        if not os.path.exists(spec.path):
+            raise MissingFile(spec.path)
+    return [spec for spec in specs if keep(spec)]
 
 
 def parse_dictionary(spec: DictionarySpec) -> list[Pair]:

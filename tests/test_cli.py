@@ -409,3 +409,154 @@ def test_evaluate_manifest_rejects_malformed_dictionary(synth_dir, tmp_path, cap
                  "--manifest", str(synth_dir / "manifest.tsv")])
     assert code == 2
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
+
+
+def _cli(*argv, stdout=subprocess.PIPE):
+    """Run the CLI in a child process; return (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lexinduce.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "lexinduce", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+OTIC = ["generate", "--algo", "otic", "--src", "aa", "--tgt", "ab", "--pivot", "ac"]
+
+
+@pytest.mark.parametrize("bcc", [[], ["--bcc-filter"]], ids=["all-rows", "bcc-filter"])
+def test_otic_file_equals_predict_on_every_row(tmp_path, caplog, bcc):
+    from lexinduce import InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict, write_predictions
+
+    inst = _bridged_instance(tmp_path)
+    manifest = str(inst / "manifest.tsv")
+    cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
+    with caplog.at_level("INFO", logger="lexinduce"):
+        assert main([*OTIC, *bcc, "--manifest", manifest, "--out", str(cli)]) == 0
+    rows = len(parse_manifest(manifest)) - (1 if bcc else 0)  # the filter drops the `ad-ae` bridge
+    assert f"read 2 of {rows} dictionaries" in caplog.messages
+    g = build_graph(parse_dictionaries(parse_manifest(manifest)))
+    scored = predict(g, "otic", "aa", "ab", InferenceParams(), pivot="ac")
+    write_predictions(str(lib), [(p.source, p.target, p.confidence, p.provenance) for p in scored])
+    assert len(read(cli).splitlines()) > 1
+    assert read(cli) == read(lib)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "0:1:0.1"]], ids=["summary", "sweep"])
+def test_evaluate_report_equals_full_vocabulary_report(tmp_path, capsys, caplog, monkeypatch, sweep):
+    inst = _bridged_instance(tmp_path)
+    manifest, gold, pred = str(inst / "manifest.tsv"), str(inst / "gold_aa-ab.tsv"), str(tmp_path / "pred.tsv")
+    assert main(["generate", "--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", manifest, "--out", pred, "--threshold", "0"]) == 0
+    argv = ["evaluate", "--pred", pred, "--gold", gold, "--src", "aa", "--tgt", "ab", "--manifest", manifest, *sweep]
+    outs = []
+    for keep_all in (False, True):
+        if keep_all:  # the parse of every row that BWR read before rows were selected
+            select = lexinduce.dictio.select_dictionaries
+            monkeypatch.setattr(lexinduce.dictio, "select_dictionaries", lambda specs, keep: select(specs, lambda s: True))
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="lexinduce"):
+            assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        # of the 7 rows, only `ac-ad` and the `ad-ae` bridge name neither `aa` nor `ab`
+        assert f"read {7 if keep_all else 5} of 7 dictionaries" in caplog.messages
+    assert outs[0] == outs[1]
+    assert ("threshold\t" if sweep else "bwr_denominator=") in outs[0]
+
+
+@pytest.mark.parametrize("damage", ["missing-row", "empty-file"])
+def test_otic_without_a_pivot_dictionary_is_missing_pivot(tmp_path, damage):
+    inst = _bridged_instance(tmp_path)
+    manifest = inst / "manifest.tsv"
+    if damage == "missing-row":
+        # `aa` still appears in other rows, so it is a known language
+        manifest.write_text("".join(r + "\n" for r in read(manifest).splitlines() if not r.startswith("aa\tac")), encoding="utf-8")
+    else:
+        (inst / "dict_aa-ac.tsv").write_text("# rep_a\tpos_a\trep_b\tpos_b\n", encoding="utf-8")
+    code, _, err = _cli(*OTIC, "--manifest", str(manifest), "--out", str(tmp_path / "p.tsv"))
+    assert code == 2
+    assert b"lexinduce: MissingPivotDictionaries: need non-empty (aa,ac) and (ac,ab)" in err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--src", "zz", "--tgt", "ab", "--pivot", "ac"], b"UnknownLanguage: zz"),
+    # `ae` is named only by the bridge row, which the filter drops
+    (["--src", "aa", "--tgt", "ab", "--pivot", "ae", "--bcc-filter"], b"UnknownLanguage: ae"),
+    # without the filter the bridge row names `ae`, but no pivot dictionary joins it to `aa` or `ab`
+    (["--src", "aa", "--tgt", "ab", "--pivot", "ae"], b"MissingPivotDictionaries"),
+])
+def test_otic_language_is_known_from_the_kept_rows(tmp_path, flags, error):
+    inst = _bridged_instance(tmp_path)
+    code, _, err = _cli("generate", "--algo", "otic", *flags, "--manifest", str(inst / "manifest.tsv"),
+                        "--out", str(tmp_path / "p.tsv"))
+    assert code == 2
+    assert error in err
+
+
+def _damaged_run(tmp_path, command):
+    """argv of `command` on a bridged instance; the `ad-ae` dictionary names none of aa, ab, ac."""
+    inst = _bridged_instance(tmp_path)
+    manifest = str(inst / "manifest.tsv")
+    if command == "evaluate":
+        gold = str(inst / "gold_aa-ab.tsv")
+        argv = ["evaluate", "--pred", gold, "--gold", gold, "--src", "aa", "--tgt", "ab", "--manifest", manifest]
+    else:
+        argv = ["generate", "--algo", command, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                "--manifest", manifest, "--out", str(tmp_path / "p.tsv")]
+    return argv, inst / "dict_ad-ae.tsv"
+
+
+@pytest.mark.parametrize("command", ["otic", "cd", "acd", "evaluate"])
+def test_missing_unrelated_dictionary_is_input_error(tmp_path, command):
+    argv, unrelated = _damaged_run(tmp_path, command)
+    unrelated.unlink()
+    code, _, err = _cli(*argv)
+    assert code == 2
+    assert f"lexinduce: MissingFile: {unrelated}".encode() in err
+
+
+@pytest.mark.parametrize("command, code", [("otic", 0), ("evaluate", 0), ("cd", 2), ("acd", 2)])
+def test_malformed_unrelated_dictionary_fails_only_where_it_is_read(tmp_path, command, code):
+    argv, unrelated = _damaged_run(tmp_path, command)
+    lineno = len(read(unrelated).splitlines()) + 1
+    with open(unrelated, "a", encoding="utf-8") as fh:
+        fh.write("x\tn\ty\n")
+    got, _, err = _cli(*argv)
+    assert got == code
+    assert (f"{unrelated}:{lineno}: expected 4 columns".encode() in err) is (code == 2)
+
+
+def test_evaluate_into_a_closed_pipe_keeps_the_report(tmp_path):
+    inst = _bridged_instance(tmp_path)
+    gold = str(inst / "gold_aa-ab.tsv")
+    argv = ["evaluate", "--pred", gold, "--gold", gold, "--src", "aa", "--tgt", "ab", "--sweep", "0:1:0.001"]
+    code, out, _ = _cli(*argv, "--report", str(tmp_path / "open.txt"))
+    assert code == 0 and len(out.splitlines()) == 1002
+
+    # The reader is gone before the first write, as after `| head -1` has read its line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    report = tmp_path / "closed.txt"
+    try:
+        code, _, err = _cli(*argv, "--report", str(report), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert code == 0
+    assert err == b""
+    assert report.read_bytes() == out
+
+
+@pytest.mark.parametrize("sweep, labels", [
+    ("0:1:0.1", [f"{i / 10:.2f}" for i in range(11)]),
+    ("0:0.01:0.002", ["0.000", "0.002", "0.004", "0.006", "0.008", "0.010"]),
+    ("0.0005:0.003:0.001", ["0.0005", "0.0015", "0.0025"]),
+    ("1:3:1", ["1.00", "2.00", "3.00"]),
+])
+def test_sweep_threshold_labels_are_distinct(tmp_path, capsys, sweep, labels):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("chien\tn\tdog\tn\n", encoding="utf-8")
+    code, out = run(capsys, "evaluate", "--pred", str(pairs), "--gold", str(pairs), "--src", "fr", "--tgt", "en",
+                    "--sweep", sweep)
+    assert code == 0
+    got = [line.split("\t")[0] for line in out.splitlines()[1:]]
+    assert got == labels
+    assert len(set(got)) == len(got)
