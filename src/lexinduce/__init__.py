@@ -7,90 +7,49 @@ augmented cycle density (cycle density plus unique-pivot-image pairs at
 confidence 1), with an evaluation harness and a synthetic-instance
 generator for oracle testing.
 """
-from .acd import AcdConfig, acd_predict, merge_scored, predict, threshold_filter
-from .dictio import (
-    DictionarySpec,
-    parse_dictionaries,
-    parse_dictionary,
-    parse_manifest,
-    read_predictions,
-    write_dictionary,
-    write_predictions,
-)
-from .entries import LexicalEntry, make_entry
-from .errors import (
-    IntraLanguagePair,
-    InvalidSpec,
-    LanguageMismatch,
-    LexinduceError,
-    MalformedLine,
-    MissingFile,
-    MissingPivotDictionaries,
-    NotACycle,
-    UnknownLanguage,
-    UnknownVertex,
-)
-from .evaluation import EvalReport, evaluate
-from .graph import TranslationGraph, build_graph
-from .inference import (
-    CycleConstraints,
-    InferenceParams,
-    ScoredPair,
-    cd_predict,
-    cycle_density,
-    enumerate_cycles,
-    transitive_predict,
-)
-from .metagraph import largest_biconnected_language_component
-from .otic import PivotTable, build_pivot_table, otic_predict, otic_type_a, otic_type_b
-from .synth import SynthInstance, SynthParams, generate, lang_codes
+import sys
+
+# Each public name and the submodule that defines it. Names and submodules
+# resolve on first access (PEP 562), so a command imports only the modules
+# it runs.
+_EXPORTS = {
+    "acd": ("AcdConfig", "acd_predict", "merge_scored", "predict", "threshold_filter"),
+    "dictio": (
+        "DictionarySpec", "parse_dictionaries", "parse_dictionary", "parse_manifest",
+        "read_predictions", "write_dictionary", "write_predictions",
+    ),
+    "entries": ("LexicalEntry", "make_entry"),
+    "errors": (
+        "IntraLanguagePair", "InvalidSpec", "LanguageMismatch", "LexinduceError", "MalformedLine",
+        "MissingFile", "MissingPivotDictionaries", "NotACycle", "UnknownLanguage", "UnknownVertex",
+    ),
+    "evaluation": ("EvalReport", "evaluate"),
+    "graph": ("TranslationGraph", "build_graph"),
+    "inference": (
+        "CycleConstraints", "InferenceParams", "ScoredPair", "cd_predict", "cycle_density",
+        "enumerate_cycles", "transitive_predict",
+    ),
+    "metagraph": ("largest_biconnected_language_component",),
+    "otic": ("PivotTable", "build_pivot_table", "otic_predict", "otic_type_a", "otic_type_b"),
+    "synth": ("SynthInstance", "SynthParams", "generate", "lang_codes"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcdConfig",
-    "CycleConstraints",
-    "DictionarySpec",
-    "EvalReport",
-    "InferenceParams",
-    "IntraLanguagePair",
-    "InvalidSpec",
-    "LanguageMismatch",
-    "LexicalEntry",
-    "LexinduceError",
-    "MalformedLine",
-    "MissingFile",
-    "MissingPivotDictionaries",
-    "NotACycle",
-    "PivotTable",
-    "ScoredPair",
-    "SynthInstance",
-    "SynthParams",
-    "TranslationGraph",
-    "UnknownLanguage",
-    "UnknownVertex",
-    "acd_predict",
-    "build_graph",
-    "build_pivot_table",
-    "cd_predict",
-    "cycle_density",
-    "enumerate_cycles",
-    "evaluate",
-    "generate",
-    "lang_codes",
-    "largest_biconnected_language_component",
-    "make_entry",
-    "merge_scored",
-    "otic_predict",
-    "otic_type_a",
-    "otic_type_b",
-    "parse_dictionaries",
-    "parse_dictionary",
-    "parse_manifest",
-    "predict",
-    "read_predictions",
-    "threshold_filter",
-    "transitive_predict",
-    "write_dictionary",
-    "write_predictions",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        __import__(f"{__name__}.{name}")  # binds the submodule here as it imports it
+        return sys.modules[f"{__name__}.{name}"]
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__getattr__(_MODULE_OF[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -8,8 +8,8 @@ ACD's output coincides with plain OTIC.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import UnknownLanguage
 from .graph import TranslationGraph
@@ -21,11 +21,11 @@ ALGORITHMS = ("otic", "cd", "acd")
 _PROV_RANK = {prov: rank for rank, prov in enumerate(PROVENANCES)}
 
 
-@dataclass(frozen=True, slots=True)
-class AcdConfig:
-    params: InferenceParams
-    pivot: str
-    threshold: float | None = None  # falls back to params.threshold
+class AcdConfig(namedtuple("AcdConfig", "params pivot threshold", defaults=(None,))):
+    """`params` (InferenceParams), `pivot` (a language code) and
+    `threshold`, which falls back to `params.threshold` when None."""
+
+    __slots__ = ()
 
     @property
     def effective_threshold(self) -> float:
@@ -103,5 +103,5 @@ def predict(
 
 def acd_predict(g: TranslationGraph, source_lang: str, target_lang: str, cfg: AcdConfig) -> set[ScoredPair]:
     """Full augmented-cycle-density prediction set for one language pair."""
-    params = replace(cfg.params, threshold=cfg.effective_threshold)
+    params = cfg.params._replace(threshold=cfg.effective_threshold)
     return predict(g, "acd", source_lang, target_lang, params, cfg.pivot)

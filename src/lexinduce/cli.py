@@ -12,25 +12,17 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import os
 import sys
 from collections import Counter
-from dataclasses import fields
 from decimal import Decimal
 
+# Only what builds the parser is imported here; each command imports the
+# modules it runs, so a process loads no code its command does not use.
 from . import dictio
-from .acd import ALGORITHMS, predict
 from .entries import normalize_field, normalize_lang
 from .errors import LexinduceError, UnknownLanguage
-from .evaluation import evaluate
-from .graph import build_graph
-from .inference import CycleConstraints, InferenceParams
-from .metagraph import largest_biconnected_language_component
-from .synth import SynthParams, generate
-
-log = logging.getLogger("lexinduce")
 
 EXIT_USAGE = 1
 EXIT_INPUT = 2
@@ -39,6 +31,19 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
+
+
+def _info(message: str) -> None:
+    """One progress line on stderr.
+
+    Progress is not the command's output: if stderr cannot be written
+    (closed, or a full device), the line is dropped and the command goes on.
+    """
+    try:
+        sys.stderr.write(f"INFO {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +98,7 @@ def load_config(path) -> dict:
 
 def _given(cls, settings: dict) -> dict:
     """The settings that name a field of `cls`; the other fields keep their defaults."""
-    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
+    return {name: settings[name] for name in cls._fields if name in settings}
 
 
 def _check_pair(args) -> None:
@@ -102,6 +107,10 @@ def _check_pair(args) -> None:
 
 
 def cmd_generate(args) -> int:
+    from .acd import ALGORITHMS, predict
+    from .graph import build_graph
+    from .inference import CycleConstraints, InferenceParams
+
     _check_pair(args)
     settings = load_config(args.config) if args.config else {}
     settings.update((k, v) for k in SETTINGS if (v := getattr(args, k)) is not None)
@@ -125,8 +134,10 @@ def cmd_generate(args) -> int:
     try:
         specs = dictio.parse_manifest(args.manifest)
         if settings.get("bcc_filter"):
+            from .metagraph import largest_biconnected_language_component
+
             specs = largest_biconnected_language_component(specs)
-            log.info("bcc filter kept %d dictionaries", len(specs))
+            _info(f"bcc filter kept {len(specs)} dictionaries")
         # OTIC reads only the (src, pivot) and (pivot, tgt) dictionaries, and
         # every edge joins the two languages of its row, so no other row can
         # reach its output. A language is known if a row names it.
@@ -139,20 +150,20 @@ def cmd_generate(args) -> int:
         chosen = dictio.select_dictionaries(
             specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs
         )
-        log.info("read %d of %d dictionaries", len(chosen), len(specs))
+        _info(f"read {len(chosen)} of {len(specs)} dictionaries")
         g = build_graph(dictio.parse_dictionaries(chosen))
     finally:
         gc.enable()
     gc.freeze()
-    log.info("graph: %d vertices, %d edges", g.vertex_count, g.edge_count)
+    _info(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
 
     scored = predict(g, algo, args.src, args.tgt, params, pivot)
     rows = [(sp.source, sp.target, sp.confidence, sp.provenance) for sp in scored]
     counts = Counter(sp.provenance for sp in scored)
     for prov in sorted(counts):
-        log.info("predictions: %d %s", counts[prov], prov)
+        _info(f"predictions: {counts[prov]} {prov}")
     dictio.write_predictions(args.out, rows)
-    log.info("wrote %d predictions to %s", len(rows), args.out)
+    _info(f"wrote {len(rows)} predictions to {args.out}")
     return 0
 
 
@@ -192,6 +203,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int, int]:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate
+
     _check_pair(args)
     sweep = _parse_sweep(args.sweep) if args.sweep else None
     preds = dictio.read_predictions(args.pred, args.src, args.tgt)
@@ -203,7 +216,7 @@ def cmd_evaluate(args) -> int:
         vocab = {args.src: set(), args.tgt: set()}
         specs = dictio.parse_manifest(args.manifest)
         chosen = dictio.select_dictionaries(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab)
-        log.info("read %d of %d dictionaries", len(chosen), len(specs))
+        _info(f"read {len(chosen)} of {len(specs)} dictionaries")
         for pair in dictio.parse_dictionaries(chosen):
             for entry in pair:
                 if entry.lang in vocab:
@@ -237,6 +250,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthParams, generate
+
     params = SynthParams(
         n_langs=args.langs,
         n_senses=args.senses,
@@ -261,9 +276,9 @@ def cmd_synth(args) -> int:
             manifest_rows.append(f"{la}\t{lb}\t{name}\n")
     with open(os.path.join(args.out_dir, "manifest.tsv"), "w", encoding="utf-8") as fh:
         fh.writelines(manifest_rows)
-    log.info(
-        "synth: %d languages, %d vertices, %d edges -> %s",
-        len(inst.languages), inst.graph.vertex_count, inst.graph.edge_count, args.out_dir,
+    _info(
+        f"synth: {len(inst.languages)} languages, {inst.graph.vertex_count} vertices,"
+        f" {inst.graph.edge_count} edges -> {args.out_dir}"
     )
     return 0
 
@@ -308,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
     except UsageError as exc:

@@ -9,25 +9,23 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Callable, Iterable
 
-from .entries import LexicalEntry, make_entry, normalize_lang, LANG_RE
+from .entries import LexicalEntry, Validated, make_entry, normalize_lang, LANG_RE
 from .errors import InvalidSpec, MalformedLine, MissingFile
 
 Pair = tuple[LexicalEntry, LexicalEntry]
 
 
-@dataclass(frozen=True, slots=True)
-class DictionarySpec:
-    path: str
-    lang_a: str
-    lang_b: str
+class DictionarySpec(Validated, namedtuple("DictionarySpec", "path lang_a lang_b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lang_a == self.lang_b:
-            raise InvalidSpec(f"identical languages in {self.path}: {self.lang_a}")
+    def __new__(cls, path: str, lang_a: str, lang_b: str):
+        if lang_a == lang_b:
+            raise InvalidSpec(f"identical languages in {path}: {lang_a}")
+        return tuple.__new__(cls, (path, lang_a, lang_b))
 
 
 def _data_lines(path):
@@ -87,12 +85,12 @@ def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
 def select_dictionaries(specs: list[DictionarySpec], keep: Callable[[DictionarySpec], bool]) -> list[DictionarySpec]:
     """The specs that `keep` accepts, in order, once every listed path exists.
 
-    Only existence is checked for the specs left out: a missing file
-    raises `MissingFile` whichever rows are kept, but a spec that is not
-    kept is never opened or parsed.
+    Only existence is checked for the specs left out: a missing file, or
+    a path that names a directory, raises `MissingFile` whichever rows
+    are kept, but a spec that is not kept is never opened or parsed.
     """
     for spec in specs:
-        if not os.path.exists(spec.path):
+        if not os.path.exists(spec.path) or os.path.isdir(spec.path):
             raise MissingFile(spec.path)
     return [spec for spec in specs if keep(spec)]
 
@@ -120,6 +118,8 @@ def parse_manifest(path) -> list[DictionarySpec]:
                 raise MalformedLine(path, lineno, f"bad language code: {code!r}")
         if lang_a == lang_b:
             raise MalformedLine(path, lineno, f"both languages are {lang_a!r}")
+        if not dict_path:
+            raise MalformedLine(path, lineno, "empty dictionary path")
         if not os.path.isabs(dict_path):
             dict_path = os.path.join(base, dict_path)
         specs.append(DictionarySpec(dict_path, lang_a, lang_b))

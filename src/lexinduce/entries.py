@@ -15,7 +15,22 @@ from collections import namedtuple
 LANG_RE = re.compile(r"[a-z]{2,3}\Z")
 
 
-class LexicalEntry(namedtuple("LexicalEntry", "rep lang pos")):
+class Validated:
+    """Base for a `namedtuple` subclass whose `__new__` validates its fields.
+
+    namedtuple's own `_make`, which `_replace` calls, skips `__new__`;
+    this one goes through it, so every constructor validates. List it
+    before the namedtuple base.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class LexicalEntry(Validated, namedtuple("LexicalEntry", "rep lang pos")):
     """An immutable, validated `(rep, lang, pos)` tuple.
 
     Hashing, equality and ordering are the tuple's own, done in C: an
@@ -36,11 +51,6 @@ class LexicalEntry(namedtuple("LexicalEntry", "rep lang pos")):
         if not LANG_RE.match(lang):
             raise ValueError(f"bad language code: {lang!r}")
         return tuple.__new__(cls, (rep, lang, pos))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`.
-        return cls(*iterable)
 
 
 def normalize_field(text: str) -> str:

@@ -10,8 +10,8 @@ the README.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .entries import LexicalEntry
 from .errors import LanguageMismatch
@@ -20,24 +20,21 @@ Pair = tuple[LexicalEntry, LexicalEntry]
 Key = tuple[str, str]  # (rep, pos)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
-    precision: float
-    recall: float
-    f1: float
-    coverage: float
-    bwp: float
-    bwr: float
-    predicted: int
-    gold: int
-    correct: int
-    bwp_denominator: int
-    bwr_denominator: int
-    warnings: tuple[str, ...] = field(default=())
+class EvalReport(
+    namedtuple(
+        "EvalReport",
+        "precision recall f1 coverage bwp bwr predicted gold correct bwp_denominator bwr_denominator warnings",
+        defaults=((),),
+    )
+):
+    """Six ratios, `precision` to `bwr`; five counts, `predicted` to
+    `bwr_denominator`; and `warnings`, a tuple of messages."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, float | int]:
         """Every field but `warnings`, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "warnings"}
+        return {name: value for name, value in zip(self._fields, self) if name != "warnings"}
 
 
 def _ratio(num: int, den: int, name: str, warnings: list[str]) -> float:

@@ -7,7 +7,7 @@ work on plain int adjacency lists; everything exposed publicly speaks in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .entries import LexicalEntry
 from .errors import IntraLanguagePair, UnknownLanguage, UnknownVertex

@@ -8,10 +8,10 @@ instead translated transitively at confidence 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
-from .entries import LexicalEntry
+from .entries import LexicalEntry, Validated
 from .errors import NotACycle, UnknownLanguage
 from .graph import TranslationGraph
 
@@ -19,52 +19,54 @@ from .graph import TranslationGraph
 PROVENANCES = ("type_b", "type_a", "transitive", "cycle")
 
 
-@dataclass(frozen=True, slots=True)
-class CycleConstraints:
-    min_len: int = 4
-    max_len: int = 6
-    context_depth: int = 3
+class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_len context_depth")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_len < 3:
+    def __new__(cls, min_len: int = 4, max_len: int = 6, context_depth: int = 3):
+        if min_len < 3:
             raise ValueError("min_len must be >= 3")
-        if self.max_len < self.min_len:
+        if max_len < min_len:
             raise ValueError("max_len must be >= min_len")
-        if self.context_depth < 1:
+        if context_depth < 1:
             raise ValueError("context_depth must be >= 1")
-        if self.max_len > 2 * self.context_depth:
+        if max_len > 2 * context_depth:
             # a cycle through the source cannot reach beyond half its length
             raise ValueError("max_len must be <= 2 * context_depth")
+        return tuple.__new__(cls, (min_len, max_len, context_depth))
 
 
-@dataclass(frozen=True, slots=True)
-class InferenceParams:
-    constraints: CycleConstraints = field(default_factory=CycleConstraints)
-    threshold: float = 0.6
-    transitive_pos: frozenset[str] = frozenset({"np", "num"})
-    transitive_depth: int = 4
+class InferenceParams(
+    Validated, namedtuple("InferenceParams", "constraints threshold transitive_pos transitive_depth")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
+    def __new__(
+        cls,
+        constraints: CycleConstraints = CycleConstraints(),
+        threshold: float = 0.6,
+        transitive_pos: frozenset[str] = frozenset({"np", "num"}),
+        transitive_depth: int = 4,
+    ):
+        if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if self.transitive_depth < 1:
+        if transitive_depth < 1:
             raise ValueError("transitive_depth must be >= 1")
+        return tuple.__new__(cls, (constraints, threshold, transitive_pos, transitive_depth))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ScoredPair:
-    source: LexicalEntry
-    target: LexicalEntry
-    confidence: float
-    provenance: str
+class ScoredPair(Validated, namedtuple("ScoredPair", "source target confidence provenance")):
+    """A predicted pair; pairs sort by source, target, confidence, provenance."""
 
-    def __post_init__(self):
-        if self.source.lang == self.target.lang:
+    __slots__ = ()
+
+    def __new__(cls, source: LexicalEntry, target: LexicalEntry, confidence: float, provenance: str):
+        if source.lang == target.lang:
             raise ValueError("source and target share a language")
-        if not 0.0 <= self.confidence <= 1.0:
+        if not 0.0 <= confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance: {self.provenance!r}")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance: {provenance!r}")
+        return tuple.__new__(cls, (source, target, confidence, provenance))
 
 
 def _induced_density(g: TranslationGraph, vids: Sequence[int]) -> float:

@@ -6,9 +6,7 @@ the only transitive image of a in the target language (Type B).
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Mapping
+from collections import Counter, defaultdict, namedtuple
 
 from .entries import LexicalEntry
 from .errors import MissingPivotDictionaries
@@ -17,12 +15,11 @@ from .graph import TranslationGraph
 Pair = tuple[LexicalEntry, LexicalEntry]
 
 
-@dataclass(frozen=True, slots=True)
-class PivotTable:
-    """Source -> pivot and pivot -> target translation maps."""
+class PivotTable(namedtuple("PivotTable", "forward onward")):
+    """Source -> pivot (`forward`) and pivot -> target (`onward`) maps from
+    an entry to the frozenset of its translations."""
 
-    forward: Mapping[LexicalEntry, frozenset[LexicalEntry]]
-    onward: Mapping[LexicalEntry, frozenset[LexicalEntry]]
+    __slots__ = ()
 
 
 def build_pivot_table(

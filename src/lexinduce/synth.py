@@ -13,43 +13,47 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
 
-from .entries import LexicalEntry
-from .graph import TranslationGraph, build_graph
+from .entries import LexicalEntry, Validated
+from .graph import build_graph
 
 Pair = tuple[LexicalEntry, LexicalEntry]
 LangPair = tuple[str, str]
 
 
-@dataclass(frozen=True, slots=True)
-class SynthParams:
-    n_langs: int = 3
-    n_senses: int = 10
-    words_per_sense_per_lang: int = 1  # Poisson expectation
-    polysemy_rate: float = 0.0
-    edge_prob: float = 1.0
-    seed: int = 0
+class SynthParams(
+    Validated,
+    namedtuple("SynthParams", "n_langs n_senses words_per_sense_per_lang polysemy_rate edge_prob seed"),
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_langs < 2:
+    def __new__(
+        cls,
+        n_langs: int = 3,
+        n_senses: int = 10,
+        words_per_sense_per_lang: int = 1,  # Poisson expectation
+        polysemy_rate: float = 0.0,
+        edge_prob: float = 1.0,
+        seed: int = 0,
+    ):
+        if n_langs < 2:
             raise ValueError("need at least 2 languages")
-        if self.n_senses < 1:
+        if n_senses < 1:
             raise ValueError("need at least 1 sense")
-        if self.words_per_sense_per_lang < 0:
+        if words_per_sense_per_lang < 0:
             raise ValueError("expected word count must be >= 0")
-        for p in (self.polysemy_rate, self.edge_prob):
+        for p in (polysemy_rate, edge_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
+        return tuple.__new__(cls, (n_langs, n_senses, words_per_sense_per_lang, polysemy_rate, edge_prob, seed))
 
 
-@dataclass(frozen=True, slots=True)
-class SynthInstance:
-    graph: TranslationGraph
-    gold: Mapping[LangPair, frozenset[Pair]]
-    languages: tuple[str, ...]
-    dictionaries: Mapping[LangPair, tuple[Pair, ...]]
+class SynthInstance(namedtuple("SynthInstance", "graph gold languages dictionaries")):
+    """`graph` (TranslationGraph), `gold` ({LangPair: frozenset of Pair}),
+    `languages` (tuple of codes) and `dictionaries` ({LangPair: tuple of Pair})."""
+
+    __slots__ = ()
 
 
 def lang_codes(n: int) -> tuple[str, ...]:

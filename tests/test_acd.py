@@ -166,3 +166,12 @@ def test_predict_rejects_same_source_and_target(algo):
     g, cfg, *_ = acd_fixture()
     with pytest.raises(ValueError, match="source and target are both 'aa'"):
         predict(g, algo, "aa", "aa", cfg.params, pivot="cc")
+
+
+def test_acd_predict_cuts_at_the_config_threshold_over_the_params_one():
+    g, _ = synth_with_direct_dictionary(1)
+    params = InferenceParams(threshold=0.9)
+    at = {tau: predict(g, "acd", "aa", "ab", params._replace(threshold=tau), pivot="ac") for tau in (0.0, 0.9)}
+    assert at[0.0] > at[0.9]  # the cut matters here
+    assert acd_predict(g, "aa", "ab", AcdConfig(params, "ac", threshold=0.0)) == at[0.0]
+    assert acd_predict(g, "aa", "ab", AcdConfig(params, "ac")) == at[0.9]  # None falls back to params

@@ -98,7 +98,7 @@ def test_config_unknown_algo_fails_before_ingest(tmp_path, capsys):
     pytest.param("otic", 0.5, id="otic"),
     pytest.param("cd", 0.5, id="cd"),
     pytest.param("acd", 0.5, id="acd"),
-    pytest.param(None, None, id="no-settings"),  # the CLI's defaults are the dataclasses'
+    pytest.param(None, None, id="no-settings"),  # the CLI's defaults are the parameter classes'
 ])
 def test_generate_writes_predict_rows(tmp_path, algo, threshold):
     from lexinduce import InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict, write_predictions
@@ -219,7 +219,7 @@ def test_config_bad_value_fails_on_its_line(synth_dir, tmp_path, capsys, line):
                                       ("0", False), ("false", False), ("NO", False)])
 def test_config_switch_words(synth_dir, tmp_path, monkeypatch, word, on):
     calls = []
-    monkeypatch.setattr("lexinduce.cli.largest_biconnected_language_component", lambda specs: calls.append(specs) or specs)
+    monkeypatch.setattr("lexinduce.metagraph.largest_biconnected_language_component", lambda specs: calls.append(specs) or specs)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"bcc_filter={word}\n", encoding="utf-8")
     assert main(["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"),
@@ -423,16 +423,16 @@ OTIC = ["generate", "--algo", "otic", "--src", "aa", "--tgt", "ab", "--pivot", "
 
 
 @pytest.mark.parametrize("bcc", [[], ["--bcc-filter"]], ids=["all-rows", "bcc-filter"])
-def test_otic_file_equals_predict_on_every_row(tmp_path, caplog, bcc):
+def test_otic_file_equals_predict_on_every_row(tmp_path, capsys, bcc):
     from lexinduce import InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict, write_predictions
 
     inst = _bridged_instance(tmp_path)
     manifest = str(inst / "manifest.tsv")
     cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
-    with caplog.at_level("INFO", logger="lexinduce"):
-        assert main([*OTIC, *bcc, "--manifest", manifest, "--out", str(cli)]) == 0
+    capsys.readouterr()
+    assert main([*OTIC, *bcc, "--manifest", manifest, "--out", str(cli)]) == 0
     rows = len(parse_manifest(manifest)) - (1 if bcc else 0)  # the filter drops the `ad-ae` bridge
-    assert f"read 2 of {rows} dictionaries" in caplog.messages
+    assert f"INFO read 2 of {rows} dictionaries" in capsys.readouterr().err.splitlines()
     g = build_graph(parse_dictionaries(parse_manifest(manifest)))
     scored = predict(g, "otic", "aa", "ab", InferenceParams(), pivot="ac")
     write_predictions(str(lib), [(p.source, p.target, p.confidence, p.provenance) for p in scored])
@@ -441,7 +441,7 @@ def test_otic_file_equals_predict_on_every_row(tmp_path, caplog, bcc):
 
 
 @pytest.mark.parametrize("sweep", [[], ["--sweep", "0:1:0.1"]], ids=["summary", "sweep"])
-def test_evaluate_report_equals_full_vocabulary_report(tmp_path, capsys, caplog, monkeypatch, sweep):
+def test_evaluate_report_equals_full_vocabulary_report(tmp_path, capsys, monkeypatch, sweep):
     inst = _bridged_instance(tmp_path)
     manifest, gold, pred = str(inst / "manifest.tsv"), str(inst / "gold_aa-ab.tsv"), str(tmp_path / "pred.tsv")
     assert main(["generate", "--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ac",
@@ -453,12 +453,11 @@ def test_evaluate_report_equals_full_vocabulary_report(tmp_path, capsys, caplog,
             select = lexinduce.dictio.select_dictionaries
             monkeypatch.setattr(lexinduce.dictio, "select_dictionaries", lambda specs, keep: select(specs, lambda s: True))
         capsys.readouterr()
-        caplog.clear()
-        with caplog.at_level("INFO", logger="lexinduce"):
-            assert main(argv) == 0
-        outs.append(capsys.readouterr().out)
+        assert main(argv) == 0
+        cap = capsys.readouterr()
+        outs.append(cap.out)
         # of the 7 rows, only `ac-ad` and the `ad-ae` bridge name neither `aa` nor `ab`
-        assert f"read {7 if keep_all else 5} of 7 dictionaries" in caplog.messages
+        assert f"INFO read {7 if keep_all else 5} of 7 dictionaries" in cap.err.splitlines()
     assert outs[0] == outs[1]
     assert ("threshold\t" if sweep else "bwr_denominator=") in outs[0]
 
@@ -512,6 +511,29 @@ def test_missing_unrelated_dictionary_is_input_error(tmp_path, command):
     code, _, err = _cli(*argv)
     assert code == 2
     assert f"lexinduce: MissingFile: {unrelated}".encode() in err
+
+
+@pytest.mark.parametrize("command", ["otic", "acd", "evaluate"])
+def test_manifest_row_with_empty_path_fails_on_its_line(tmp_path, capsys, command):
+    argv, _ = _damaged_run(tmp_path, command)
+    manifest = tmp_path / "inst" / "manifest.tsv"
+    lineno = len(read(manifest).splitlines()) + 1
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("ab\tad\t\n")
+    assert main(argv) == 2
+    assert f"lexinduce: MalformedLine: {manifest}:{lineno}: empty dictionary path" in capsys.readouterr().err
+
+
+# `aa-ac` is read by every command here; `ad-ae` only by acd.
+@pytest.mark.parametrize("name", ["dict_aa-ac.tsv", "dict_ad-ae.tsv"])
+@pytest.mark.parametrize("command", ["otic", "acd", "evaluate"])
+def test_manifest_path_naming_a_directory_is_missing_file(tmp_path, capsys, command, name):
+    argv, _ = _damaged_run(tmp_path, command)
+    listed = tmp_path / "inst" / name
+    listed.unlink()
+    listed.mkdir()
+    assert main(argv) == 2
+    assert f"lexinduce: MissingFile: {listed}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, code", [("otic", 0), ("evaluate", 0), ("cd", 2), ("acd", 2)])

@@ -1,6 +1,15 @@
 import pytest
 
-from lexinduce import LexicalEntry, make_entry
+from lexinduce import (
+    CycleConstraints,
+    DictionarySpec,
+    InferenceParams,
+    InvalidSpec,
+    LexicalEntry,
+    ScoredPair,
+    SynthParams,
+    make_entry,
+)
 
 
 def test_normalization_trims_and_nfc():
@@ -29,11 +38,12 @@ def test_invalid_fields_rejected(rep, lang, pos):
         LexicalEntry(rep, lang, pos)
 
 
+# Each way to build a `cls` from `fields`; `_replace` starts from the valid `base`.
 CONSTRUCTIONS = {
-    "positional": lambda fields: LexicalEntry(*fields),
-    "keyword": lambda fields: LexicalEntry(**dict(zip(("rep", "lang", "pos"), fields))),
-    "_make": lambda fields: LexicalEntry._make(fields),
-    "_replace": lambda fields: LexicalEntry("dog", "en", "n")._replace(rep=fields[0], lang=fields[1], pos=fields[2]),
+    "positional": lambda cls, base, fields: cls(*fields),
+    "keyword": lambda cls, base, fields: cls(**dict(zip(cls._fields, fields))),
+    "_make": lambda cls, base, fields: cls._make(fields),
+    "_replace": lambda cls, base, fields: cls(*base)._replace(**dict(zip(cls._fields, fields))),
 }
 
 
@@ -46,7 +56,35 @@ CONSTRUCTIONS = {
 ])
 def test_every_construction_path_validates(how, fields, reason):
     with pytest.raises(ValueError, match=reason):
-        CONSTRUCTIONS[how](fields)
+        CONSTRUCTIONS[how](LexicalEntry, ("dog", "en", "n"), fields)
+
+
+DOG, CHIEN = LexicalEntry("dog", "en", "n"), LexicalEntry("chien", "fr", "n")
+
+
+@pytest.mark.parametrize("how", CONSTRUCTIONS)
+@pytest.mark.parametrize("cls, base, bad, reason", [
+    (CycleConstraints, (4, 6, 3), (4, 7, 3), "max_len must be <= 2 \\* context_depth"),
+    (InferenceParams, (CycleConstraints(), 0.6, frozenset({"np"}), 4), (CycleConstraints(), 1.5, frozenset(), 4),
+     "threshold must be in"),
+    (ScoredPair, (DOG, CHIEN, 0.5, "cycle"), (DOG, CHIEN, 0.5, "guess"), "unknown provenance"),
+    (ScoredPair, (DOG, CHIEN, 0.5, "cycle"), (DOG, DOG, 0.5, "cycle"), "share a language"),
+    (DictionarySpec, ("d.tsv", "en", "fr"), ("d.tsv", "en", "en"), "identical languages"),
+    (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, 1, 0.0, 1.5, 0), "probabilities must be in"),
+], ids=["CycleConstraints", "InferenceParams", "ScoredPair-provenance", "ScoredPair-languages",
+        "DictionarySpec", "SynthParams"])
+def test_every_record_construction_path_validates(how, cls, base, bad, reason):
+    assert CONSTRUCTIONS[how](cls, base, base) == base
+    with pytest.raises((ValueError, InvalidSpec), match=reason):
+        CONSTRUCTIONS[how](cls, base, bad)
+
+
+def test_scored_pairs_sort_by_source_target_confidence_provenance():
+    other = LexicalEntry("chat", "fr", "n")
+    pairs = [ScoredPair(DOG, CHIEN, 1.0, "type_b"), ScoredPair(DOG, CHIEN, 0.5, "cycle"),
+             ScoredPair(DOG, other, 1.0, "type_a"), ScoredPair(DOG, CHIEN, 1.0, "transitive"),
+             ScoredPair(CHIEN, DOG, 0.7, "cycle")]
+    assert sorted(pairs) == [pairs[4], pairs[2], pairs[1], pairs[3], pairs[0]]
 
 
 def test_entry_is_immutable():
