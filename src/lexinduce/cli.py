@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections import Counter
-from decimal import Decimal
 
 # Only what builds the parser is imported here; each command imports the
 # modules it runs, so a process loads no code its command does not use.
@@ -33,23 +32,39 @@ class UsageError(Exception):
     pass
 
 
-def _info(message: str) -> None:
-    """One progress line on stderr.
+def _to_devnull(stream) -> None:
+    """Point `stream`'s file descriptor at the null device.
 
-    Progress is not the command's output: if stderr cannot be written
-    (closed, or a full device), the line is dropped and the command goes on.
+    What the stream still holds then goes nowhere, so the interpreter's
+    final flush succeeds instead of failing the exit status.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _say(text: str) -> None:
+    """A line on stderr, which carries no output of any command.
+
+    If stderr cannot be written (closed, or a full device), the line and
+    every later one are dropped: the command goes on, and its exit status
+    stays its own.
     """
     try:
-        sys.stderr.write(f"INFO {message}\n")
+        sys.stderr.write(text + "\n")
         sys.stderr.flush()
     except OSError:
-        pass
+        _to_devnull(sys.stderr)
+
+
+def _info(message: str) -> None:
+    """One progress line on stderr."""
+    _say(f"INFO {message}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve 2 for input errors
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -198,6 +213,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int, int]:
     spans = (stop + 1e-9 - start) / step
     if spans >= MAX_SWEEP_ROWS:
         raise UsageError(f"--sweep gives more than {MAX_SWEEP_ROWS} rows")
+    from decimal import Decimal
+
     places = max(2, *(-Decimal(repr(x)).normalize().as_tuple().exponent for x in (start, step)))
     return start, step, math.floor(spans) + 1, places
 
@@ -241,11 +258,8 @@ def cmd_evaluate(args) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # A reader that stops early (`| head`) has all it wants, and the
-        # report is already complete. Point stdout at the null device so
-        # the interpreter's final flush succeeds instead of reporting it.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # report is already complete.
+        _to_devnull(sys.stdout)
     return 0
 
 
@@ -326,13 +340,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"lexinduce: usage error: {exc}", file=sys.stderr)
+        _say(f"lexinduce: usage error: {exc}")
         return EXIT_USAGE
     except (LexinduceError, OSError, ValueError) as exc:
-        print(f"lexinduce: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"lexinduce: {type(exc).__name__}: {exc}")
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover
-        print(f"lexinduce: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"lexinduce: internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

@@ -11,7 +11,6 @@ import math
 import os
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from decimal import ROUND_HALF_EVEN, Decimal
 
 from .entries import LexicalEntry, Validated, make_entry, normalize_lang, LANG_RE
 from .errors import InvalidSpec, MalformedLine, MissingFile
@@ -135,6 +134,8 @@ def write_dictionary(path, pairs: Iterable[Pair]) -> None:
 
 def format_confidence(value: float) -> str:
     """Render a confidence as a 4-place decimal with half-even rounding."""
+    from decimal import ROUND_HALF_EVEN, Decimal  # only writing predictions needs it
+
     return str(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 

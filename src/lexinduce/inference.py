@@ -69,63 +69,52 @@ class ScoredPair(Validated, namedtuple("ScoredPair", "source target confidence p
         return tuple.__new__(cls, (source, target, confidence, provenance))
 
 
-def _induced_density(g: TranslationGraph, vids: Sequence[int]) -> float:
-    k = len(vids)
-    edges = 0
-    for i in range(k):
-        nbrs = g.adj(vids[i])
-        for j in range(i + 1, k):
-            if vids[j] in nbrs:
-                edges += 1
-    return 2.0 * edges / (k * (k - 1))
-
-
 def cycle_density(g: TranslationGraph, cycle: Sequence[LexicalEntry]) -> float:
     """Density of the subgraph induced by a simple cycle's vertices."""
     vids = [g.id_of(v) for v in cycle]
-    if len(vids) < 3 or len(set(vids)) != len(vids):
+    k = len(vids)
+    if k < 3 or len(set(vids)) != k:
         raise NotACycle("need >= 3 distinct vertices")
     for u, v in zip(vids, vids[1:] + vids[:1]):
         if v not in g.adj(u):
             raise NotACycle(f"missing edge {g.entry_of(u)} -- {g.entry_of(v)}")
-    return _induced_density(g, vids)
+    edges = sum(vids[j] in g.adj(vids[i]) for i in range(k) for j in range(i + 1, k))
+    return 2.0 * edges / (k * (k - 1))
 
 
-def _ball(g: TranslationGraph, sid: int, depth: int) -> tuple[list[int], list[int], dict[int, int]]:
-    """The BFS ball of radius `depth` around `sid`, on local vertex ids.
+def _ball(g: TranslationGraph, sid: int, depth: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """The BFS ball of radius `depth` around `sid`, wired on local vertex ids.
 
     Local ids follow BFS order, so the source is 0 and distances never
     decrease along them. BFS walks the sorted `g.adj(sid)` first, so the
     source's neighbours get local ids 1..deg in ascending graph-id order:
     comparing two of them by local id is comparing them by graph id.
-    Returns, per local id, the graph id and the BFS distance, and the map
-    from graph id to local id.
+
+    The same scan wires the ball. A vertex shallower than `depth` gets
+    all its neighbours, in `g.adj` order; a depth-layer vertex gets only
+    its shallower ones. That is exact: `CycleConstraints` keeps
+    `max_len <= 2 * depth`, so a cycle through the source holds at most
+    one depth-layer vertex, its antipode, between two shallower ones, and
+    no edge joining two depth-layer vertices is walked, closed or induced.
+    Returns, per local id, the graph id, the BFS distance and the row.
     """
-    gids, dist, local = [sid], [0], {sid: 0}
+    gids, dist, nbrs, local = [sid], [0], [[]], {sid: 0}
     for i, u in enumerate(gids):  # `gids` grows behind the loop: it is the BFS queue
         d = dist[i] + 1
         if d > depth:
             break
+        row = nbrs[i]
         for w in g.adj(u):
-            if w not in local:
-                local[w] = len(gids)
+            j = local.get(w)
+            if j is None:
+                j = local[w] = len(gids)
                 gids.append(w)
                 dist.append(d)
-    return gids, dist, local
-
-
-def _wire(g: TranslationGraph, gids: list[int], local: dict[int, int]) -> tuple[list[list[int]], list[int]]:
-    """The ball neighbours of each ball vertex, as local ids and as a bit mask."""
-    nbrs: list[list[int]] = []
-    masks: list[int] = []
-    for v in gids:
-        row = [i for i in map(local.get, g.adj(v)) if i is not None]
-        mask = 0
-        for i in row:
-            mask |= 1 << i
-        nbrs.append(row)
-        masks.append(mask)
-    return nbrs, masks
+                nbrs.append([])
+            row.append(j)
+            if dist[j] == depth:
+                nbrs[j].append(i)
+    return gids, dist, nbrs
 
 
 def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limit: int) -> list[int]:
@@ -157,7 +146,6 @@ def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limi
 def _cycles_holding(
     nbrs: list[list[int]],
     dist: list[int],
-    masks: list[int],
     marked: list[bool],
     h: list[int],
     c: CycleConstraints,
@@ -170,9 +158,10 @@ def _cycles_holding(
     through a marked vertex back to the source. Afterwards it is the BFS
     distance `dist`, and only then can the path close. Both are lower
     bounds on the rest of the cycle, so no cycle holding a marked vertex
-    is lost. Each cycle is found in both orientations; keeping only
-    paths whose second vertex id is below the last one reports it
-    exactly once.
+    is lost. Each cycle is reported in one orientation, the one whose
+    second vertex id is below its last. The source's neighbours are
+    local ids 1..deg, so no path starts at the largest of them, and the
+    last step tries only those above the second vertex.
 
     The path is kept as a bit mask `on`, and each push adds the new
     vertex's edges to the path, so a closed cycle comes with the edge
@@ -182,6 +171,12 @@ def _cycles_holding(
     min_len, max_len = c.min_len, c.max_len
     last = max_len - 1
     ends = nbrs[0]
+    masks = []
+    for row in nbrs:
+        mask = 0
+        for i in row:
+            mask |= 1 << i
+        masks.append(mask)
     cycles: list[tuple[tuple[int, ...], int]] = []
     path = [0]
 
@@ -192,9 +187,9 @@ def _cycles_holding(
                 cycles.append((tuple(path), edges))  # v closes the cycle back to the source
             if budget == last:
                 # The next vertex is the last one, so it must be a neighbour of the source.
-                first, adj = path[1], masks[v]
-                for w in ends:
-                    if first < w and adj >> w & 1 and not on >> w & 1:
+                adj = masks[v]
+                for w in ends[path[1]:]:
+                    if adj >> w & 1 and not on >> w & 1:
                         cycles.append(((*path, w), edges + (masks[w] & on).bit_count()))
                 return
         for w in nbrs[v]:
@@ -203,7 +198,11 @@ def _cycles_holding(
                 walk(w, on | 1 << w, edges + (masks[w] & on).bit_count(), dist if marked[w] else bound)
                 path.pop()
 
-    walk(0, 1, 0, h)
+    for w in ends[:-1]:
+        if 1 + h[w] <= max_len:
+            path.append(w)
+            walk(w, 1 | 1 << w, 1, dist if marked[w] else h)
+            path.pop()
     walk = None  # the closure names itself; free it by refcount
     return cycles
 
@@ -217,39 +216,37 @@ def enumerate_cycles(
     so the second vertex is the smaller of the source's two cycle
     neighbors by internal id.
     """
-    gids, dist, local = _ball(g, g.id_of(source), c.context_depth)
-    nbrs, masks = _wire(g, gids, local)
+    gids, dist, nbrs = _ball(g, g.id_of(source), c.context_depth)
     entries = [g.entry_of(v) for v in gids]
     # Every ball vertex is marked, so each cycle holds one from its second
     # vertex on and the search bound is the plain BFS distance.
-    cycles = _cycles_holding(nbrs, dist, masks, [True] * len(gids), dist, c)
+    cycles = _cycles_holding(nbrs, dist, [True] * len(gids), dist, c)
     return {tuple(entries[v] for v in ids) for ids, _ in cycles}
 
 
-def _cd_for_source(g: TranslationGraph, sid: int, target_lang: str, c: CycleConstraints) -> list[ScoredPair]:
+def _cd_for_source(g: TranslationGraph, sid: int, by_pos: dict[str, set[int]], c: CycleConstraints) -> list[ScoredPair]:
     """Densest-cycle confidence for every candidate target of one source.
 
-    Candidates are ball vertices of the target language with the source's
-    POS that are neither the source nor adjacent to it. Only cycles that
-    can hold a candidate are searched, and only closed ones are scored.
+    `by_pos` maps each POS to the target language's vertex ids. The
+    candidates are the ball vertices in the source's POS set that are
+    neither the source nor adjacent to it. Only cycles that can hold a
+    candidate are searched, and only closed ones are scored.
     """
     src = g.entry_of(sid)
-    gids, dist, local = _ball(g, sid, c.context_depth)
+    same_pos = by_pos.get(src.pos)
+    if not same_pos:
+        return []
+    gids, dist, nbrs = _ball(g, sid, c.context_depth)
     # Local ids 0..deg are the source and its neighbours, so candidates start after them.
-    targets = []
-    for i in range(len(g.adj(sid)) + 1, len(gids)):
-        ev = g.entry_of(gids[i])
-        if ev.lang == target_lang and ev.pos == src.pos:
-            targets.append(i)
+    targets = [i for i in range(len(nbrs[0]) + 1, len(gids)) if gids[i] in same_pos]
     if not targets:
         return []
-    nbrs, masks = _wire(g, gids, local)
     marked = [False] * len(gids)
     for t in targets:
         marked[t] = True
     h = _return_via(nbrs, dist, targets, c.max_len - 1)
     best = [-1.0] * len(gids)
-    for ids, edges in _cycles_holding(nbrs, dist, masks, marked, h, c):
+    for ids, edges in _cycles_holding(nbrs, dist, marked, h, c):
         k = len(ids)
         density = 2.0 * edges / (k * (k - 1))
         for v in ids:
@@ -268,14 +265,17 @@ def cd_predict(
     """Cycle-density candidates from `source_lang` to `target_lang`.
 
     Scores every non-adjacent same-POS pair sharing at least one
-    constrained cycle; no thresholding here. `threads` is accepted for
-    compatibility and has no effect: the search is pure Python under the
-    interpreter lock, so threads cannot speed it up.
+    constrained cycle; no thresholding here. A source whose POS no
+    target-language vertex has is skipped before its BFS. `threads` is
+    accepted for compatibility and has no effect: the search is pure
+    Python under the interpreter lock, so threads cannot speed it up.
     """
     source_ids = g.ids_of_lang(source_lang)
-    g.ids_of_lang(target_lang)  # raises UnknownLanguage if absent
+    by_pos: dict[str, set[int]] = {}
+    for tid in g.ids_of_lang(target_lang):  # raises UnknownLanguage if absent
+        by_pos.setdefault(g.entry_of(tid).pos, set()).add(tid)
     c = p.constraints
-    return {sp for sid in source_ids for sp in _cd_for_source(g, sid, target_lang, c)}
+    return {sp for sid in source_ids for sp in _cd_for_source(g, sid, by_pos, c)}
 
 
 def transitive_predict(

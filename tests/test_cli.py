@@ -411,10 +411,10 @@ def test_evaluate_manifest_rejects_malformed_dictionary(synth_dir, tmp_path, cap
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
-def _cli(*argv, stdout=subprocess.PIPE):
+def _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run the CLI in a child process; return (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lexinduce.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "lexinduce", *argv], stdout=stdout, stderr=subprocess.PIPE,
+    proc = subprocess.run([sys.executable, "-m", "lexinduce", *argv], stdout=stdout, stderr=stderr,
                           env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -565,6 +565,33 @@ def test_evaluate_into_a_closed_pipe_keeps_the_report(tmp_path):
     assert code == 0
     assert err == b""
     assert report.read_bytes() == out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stderr_exits_0_with_the_same_outputs(tmp_path, monkeypatch):
+    # Buffered stderr, as by default: the interpreter flushes it once more at exit.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    inst = _bridged_instance(tmp_path)
+    manifest, gold = str(inst / "manifest.tsv"), str(inst / "gold_aa-ab.tsv")
+    outputs = {}
+    with open("/dev/full", "wb") as full:
+        for name, stderr in (("pipe", subprocess.PIPE), ("full", full)):
+            pred, report = tmp_path / f"{name}.tsv", tmp_path / f"{name}.txt"
+            code, _, _ = _cli("generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--manifest", manifest,
+                              "--out", str(pred), stderr=stderr)
+            assert code == 0
+            code, out, _ = _cli("evaluate", "--pred", str(pred), "--gold", gold, "--src", "aa", "--tgt", "ab",
+                                "--manifest", manifest, "--report", str(report), stderr=stderr)
+            assert code == 0
+            outputs[name] = (pred.read_bytes(), report.read_bytes(), out)
+        # An error keeps its own exit status: usage (argparse's and ours) 1, input 2.
+        for code, argv in ((1, ["generate", "--algo", "cd"]),
+                           (1, ["generate", "--algo", "zz", "--src", "aa", "--tgt", "ab", "--manifest", manifest,
+                                "--out", str(tmp_path / "zz.tsv")]),
+                           (2, ["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab",
+                                "--manifest", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "m.tsv")])):
+            assert _cli(*argv, stderr=full)[0] == code, argv
+    assert outputs["full"] == outputs["pipe"]
 
 
 @pytest.mark.parametrize("sweep, labels", [

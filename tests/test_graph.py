@@ -66,17 +66,24 @@ def test_ball_matches_networkx(seed, depth):
     g = random_multipartite_graph(rng, 3, 12, 0.3)
     src = g.vertices[rng.randrange(g.vertex_count)]
     sid = g.id_of(src)
-    gids, dist, local = _ball(g, sid, depth)
-    assert len(gids) == len(set(gids)) == len(dist)
+    gids, dist, nbrs = _ball(g, sid, depth)
+    assert len(gids) == len(set(gids)) == len(dist) == len(nbrs)
     assert {g.entry_of(v): d for v, d in zip(gids, dist)} == nx.single_source_shortest_path_length(
         to_nx(g), src, cutoff=depth
     )
-    assert local == {v: i for i, v in enumerate(gids)}
     assert gids[0] == sid
     if depth:
         # the source's neighbours take local ids 1..deg in ascending graph id
         assert gids[1 : len(g.adj(sid)) + 1] == sorted(g.adj(sid))
     assert dist == sorted(dist)
+    local = {v: i for i, v in enumerate(gids)}
+    for i, v in enumerate(gids):
+        if dist[i] < depth:
+            # a shallower vertex's row is all its neighbours, in graph order
+            assert [gids[j] for j in nbrs[i]] == list(g.adj(v))
+        else:
+            # a depth-layer row is exactly its shallower neighbours, in local-id order
+            assert nbrs[i] == sorted(local[w] for w in g.adj(v) if w in local and dist[local[w]] < depth)
 
 
 @settings(max_examples=50, deadline=None)

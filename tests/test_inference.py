@@ -88,6 +88,36 @@ def test_matches_bruteforce_across_constraints(seed, min_len, extra, depth):
     assert got == oracle_cd(g, src, tgt, params)
 
 
+def reversed_pairs(pairs):
+    return {ScoredPair(sp.target, sp.source, sp.confidence, sp.provenance) for sp in pairs}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    min_len=st.integers(3, 5),
+    extra=st.integers(0, 3),
+    depth=st.integers(2, 3),
+    transitive_depth=st.integers(1, 4),
+)
+def test_cd_and_transitive_are_symmetric(seed, min_len, extra, depth, transitive_depth):
+    # With max_len <= 2 * depth, every cycle through a lies in the ball of
+    # each of its vertices, so the cycles through both a and b are the same
+    # from either end.
+    max_len = min(min_len + extra, 2 * depth)
+    assume(max_len >= min_len)
+    params = InferenceParams(constraints=CycleConstraints(min_len, max_len, depth))
+    rng = random.Random(seed)
+    g = random_multipartite_graph(rng, rng.randrange(2, 5), rng.randrange(10, 24), 0.35, pos_tags=("n", "v", "np"))
+    assume(len(g.languages) >= 2)
+    a, b = rng.sample(g.languages, 2)
+    assert cd_predict(g, b, a, params) == reversed_pairs(cd_predict(g, a, b, params))
+    pos = {"v", "np"}
+    assert transitive_predict(g, b, a, pos, transitive_depth) == reversed_pairs(
+        transitive_predict(g, a, b, pos, transitive_depth)
+    )
+
+
 def test_confidence_monotone_in_constraints():
     rng = random.Random(99)
     loose = InferenceParams(constraints=CycleConstraints(4, 6, 3))
