@@ -27,10 +27,6 @@ class AcdConfig(namedtuple("AcdConfig", "params pivot threshold", defaults=(None
 
     __slots__ = ()
 
-    @property
-    def effective_threshold(self) -> float:
-        return self.params.threshold if self.threshold is None else self.threshold
-
 
 def threshold_filter(pairs: Iterable[ScoredPair], tau: float) -> set[ScoredPair]:
     """Keep pairs with confidence >= tau (inclusive, so 1.0 survives tau=1)."""
@@ -103,5 +99,5 @@ def predict(
 
 def acd_predict(g: TranslationGraph, source_lang: str, target_lang: str, cfg: AcdConfig) -> set[ScoredPair]:
     """Full augmented-cycle-density prediction set for one language pair."""
-    params = cfg.params._replace(threshold=cfg.effective_threshold)
+    params = cfg.params if cfg.threshold is None else cfg.params._replace(threshold=cfg.threshold)
     return predict(g, "acd", source_lang, target_lang, params, cfg.pivot)

@@ -121,6 +121,13 @@ def _check_pair(args) -> None:
         raise UsageError(f"--src and --tgt are both {args.src!r}")
 
 
+def _read_selected(specs: list, keep) -> list:
+    """Parse the dictionaries of the specs that `keep` accepts, logging how many."""
+    chosen = dictio.select_dictionaries(specs, keep)
+    _info(f"read {len(chosen)} of {len(specs)} dictionaries")
+    return dictio.parse_dictionaries(chosen)
+
+
 def cmd_generate(args) -> int:
     from .acd import ALGORITHMS, predict
     from .graph import build_graph
@@ -162,23 +169,18 @@ def cmd_generate(args) -> int:
                 if lang not in named:
                     raise UnknownLanguage(lang)
         pivot_pairs = ({args.src, pivot}, {pivot, args.tgt})
-        chosen = dictio.select_dictionaries(
-            specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs
-        )
-        _info(f"read {len(chosen)} of {len(specs)} dictionaries")
-        g = build_graph(dictio.parse_dictionaries(chosen))
+        g = build_graph(_read_selected(specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs))
     finally:
         gc.enable()
     gc.freeze()
     _info(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
 
     scored = predict(g, algo, args.src, args.tgt, params, pivot)
-    rows = [(sp.source, sp.target, sp.confidence, sp.provenance) for sp in scored]
     counts = Counter(sp.provenance for sp in scored)
     for prov in sorted(counts):
         _info(f"predictions: {counts[prov]} {prov}")
-    dictio.write_predictions(args.out, rows)
-    _info(f"wrote {len(rows)} predictions to {args.out}")
+    dictio.write_predictions(args.out, scored)
+    _info(f"wrote {len(scored)} predictions to {args.out}")
     return 0
 
 
@@ -232,9 +234,7 @@ def cmd_evaluate(args) -> int:
         # that name either language are read, and no graph is built.
         vocab = {args.src: set(), args.tgt: set()}
         specs = dictio.parse_manifest(args.manifest)
-        chosen = dictio.select_dictionaries(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab)
-        _info(f"read {len(chosen)} of {len(specs)} dictionaries")
-        for pair in dictio.parse_dictionaries(chosen):
+        for pair in _read_selected(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab):
             for entry in pair:
                 if entry.lang in vocab:
                     vocab[entry.lang].add(entry)
@@ -256,10 +256,12 @@ def cmd_evaluate(args) -> int:
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # A reader that stops early (`| head`) has all it wants, and the
-        # report is already complete.
+    except OSError as exc:
+        # The report is complete, and what stdout still holds goes nowhere, so the
+        # exit flush cannot fail. A reader that stops early (`| head`) has all it wants.
         _to_devnull(sys.stdout)
+        if not isinstance(exc, BrokenPipeError):
+            raise
     return 0
 
 
@@ -299,7 +301,6 @@ def cmd_synth(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lexinduce", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="predict one language pair from a dictionary manifest")

@@ -174,8 +174,7 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
             if not 0.0 <= conf <= 1.0:
                 raise MalformedLine(path, lineno, f"bad confidence: {cols[4]!r}")
         try:
-            pair = (make_entry(cols[0], lang_a, cols[1]), make_entry(cols[2], lang_b, cols[3]))
+            out.append((make_entry(cols[0], lang_a, cols[1]), make_entry(cols[2], lang_b, cols[3]), conf))
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from None
-        out.append((pair[0], pair[1], conf))
     return out

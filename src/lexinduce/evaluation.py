@@ -84,15 +84,11 @@ def evaluate(
     bw_pred = {(a, b) for a, b in pred_keys if a in gold_sources and b in gold_targets}
     bwp = _ratio(len(bw_pred & gold_keys), len(bw_pred), "bwp", warnings)
 
-    if input_vocab is None:
-        in_src = in_tgt = None
-    else:
+    bw_gold = gold_keys
+    if input_vocab is not None:
         src_lang, tgt_lang = langs[0] if langs[0] else ("", "")
         in_src = {(e.rep, e.pos) for e in input_vocab.get(src_lang, ())}
         in_tgt = {(e.rep, e.pos) for e in input_vocab.get(tgt_lang, ())}
-    if in_src is None:
-        bw_gold = gold_keys
-    else:
         bw_gold = {(a, b) for a, b in gold_keys if a in in_src and b in in_tgt}
     bwr = _ratio(len(bw_gold & pred_keys), len(bw_gold), "bwr", warnings)
 

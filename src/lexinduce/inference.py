@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .entries import LexicalEntry, Validated
-from .errors import NotACycle, UnknownLanguage
+from .errors import NotACycle
 from .graph import TranslationGraph
 
 # In merge preference: on equal confidence the more specific provenance wins.
@@ -124,7 +124,9 @@ def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limi
     `dist[t]`, and each step away from it costs one edge. Walks are not
     required to be simple, so the result is a lower bound on any cycle
     completion. A vertex that cannot finish a cycle within `limit` edges
-    reads `limit + 1`.
+    reads `limit + 1`. Each vertex is queued once, at its final value: a
+    target's walk back is at least `dist[t]` long, and a non-target is set
+    from the lowest bucket that reaches it, as buckets are scanned in order.
     """
     h = [limit + 1] * len(dist)
     buckets: list[list[int]] = [[] for _ in range(limit + 1)]
@@ -134,8 +136,6 @@ def _return_via(nbrs: list[list[int]], dist: list[int], targets: list[int], limi
             buckets[dist[t]].append(t)
     for d in range(limit):
         for u in buckets[d]:
-            if h[u] != d:
-                continue  # reached cheaper after it was queued
             for w in nbrs[u]:
                 if w and h[w] > d + 1:  # local id 0 is the source
                     h[w] = d + 1
@@ -300,20 +300,18 @@ def transitive_predict(
         src = g.entry_of(sid)
         if src.pos not in pos_set:
             continue
-        dist = {sid: 0}
+        reached = {sid}
         frontier = [sid]
-        d = 0
-        while frontier and d < depth:
-            d += 1
+        for _ in range(depth):
             nxt = []
             for u in frontier:
                 for w in g.adj(u):
-                    if w not in dist and g.entry_of(w).pos in pos_set:
-                        dist[w] = d
+                    if w not in reached and g.entry_of(w).pos in pos_set:
+                        reached.add(w)
                         nxt.append(w)
             frontier = nxt
         adjacent = g.adj(sid)
-        for v in dist:
+        for v in reached:
             ev = g.entry_of(v)
             if v != sid and v not in adjacent and ev.lang == target_lang and ev.pos == src.pos:
                 out.add(ScoredPair(src, ev, 1.0, "transitive"))

@@ -65,8 +65,7 @@ def biconnected_components(nodes: list[str], edges: set[Edge]) -> list[set[Edge]
                             comp.add((a, b) if a < b else (b, a))
                             if (a, b) == (pv, v):
                                 break
-                        if comp:
-                            comps.append(comp)
+                        comps.append(comp)  # never empty: it ends at the tree edge (pv, v)
     return comps
 
 
@@ -79,7 +78,8 @@ def largest_biconnected_language_component(dicts: list[DictionarySpec]) -> list[
     """
     if not dicts:
         raise ValueError("need at least one dictionary spec")
-    edges = {(d.lang_a, d.lang_b) if d.lang_a < d.lang_b else (d.lang_b, d.lang_a) for d in dicts}
+    pairs = [(d.lang_a, d.lang_b) if d.lang_a < d.lang_b else (d.lang_b, d.lang_a) for d in dicts]
+    edges = set(pairs)
     nodes = sorted({lang for e in edges for lang in e})
     comps = biconnected_components(nodes, edges)
 
@@ -88,8 +88,4 @@ def largest_biconnected_language_component(dicts: list[DictionarySpec]) -> list[
         return (-len(members), -len(comp), members)
 
     best = min(comps, key=rank)
-    return [
-        d
-        for d in dicts
-        if ((d.lang_a, d.lang_b) if d.lang_a < d.lang_b else (d.lang_b, d.lang_a)) in best
-    ]
+    return [d for d, pair in zip(dicts, pairs) if pair in best]

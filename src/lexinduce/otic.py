@@ -7,6 +7,7 @@ the only transitive image of a in the target language (Type B).
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
+from collections.abc import Iterator
 
 from .entries import LexicalEntry
 from .errors import MissingPivotDictionaries
@@ -44,27 +45,20 @@ def build_pivot_table(
     )
 
 
+def _images(t: PivotTable) -> Iterator[tuple[LexicalEntry, Counter[LexicalEntry]]]:
+    """Each source and the count of pivots that lead to each same-POS target."""
+    for a, pivots in t.forward.items():
+        yield a, Counter(b for c in pivots for b in t.onward.get(c, ()) if b.pos == a.pos)
+
+
 def otic_type_a(t: PivotTable) -> set[Pair]:
     """Pairs whose source and target share at least two pivot translations."""
-    out: set[Pair] = set()
-    for a, pivots in t.forward.items():
-        counts: Counter[LexicalEntry] = Counter()
-        for c in pivots:
-            for b in t.onward.get(c, ()):
-                if b.pos == a.pos:
-                    counts[b] += 1
-        out.update((a, b) for b, n in counts.items() if n >= 2)
-    return out
+    return {(a, b) for a, counts in _images(t) for b, n in counts.items() if n >= 2}
 
 
 def otic_type_b(t: PivotTable) -> set[Pair]:
     """Pairs whose source has exactly one same-POS transitive image."""
-    out: set[Pair] = set()
-    for a, pivots in t.forward.items():
-        images = {b for c in pivots for b in t.onward.get(c, ()) if b.pos == a.pos}
-        if len(images) == 1:
-            out.add((a, next(iter(images))))
-    return out
+    return {(a, next(iter(counts))) for a, counts in _images(t) if len(counts) == 1}
 
 
 def otic_predict(t: PivotTable) -> set[Pair]:

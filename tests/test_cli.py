@@ -133,6 +133,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def test_verbose_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["-v", "synth", "--out-dir", str(tmp_path / "inst")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "inst").exists()
+
+
 def test_bcc_filter_flag(tmp_path, capsys):
     # triangle aa-ab-ac plus pendant ac-ad; pendant pair must be dropped
     inst = tmp_path / "inst"
@@ -564,6 +571,26 @@ def test_evaluate_into_a_closed_pipe_keeps_the_report(tmp_path):
         os.close(write_end)
     assert code == 0
     assert err == b""
+    assert report.read_bytes() == out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_evaluate_into_a_full_stdout_is_input_error_and_keeps_the_report(tmp_path, monkeypatch):
+    # Buffered stdout, as by default: the interpreter flushes it once more at exit.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    inst = _bridged_instance(tmp_path)
+    gold = str(inst / "gold_aa-ab.tsv")
+    argv = ["evaluate", "--pred", gold, "--gold", gold, "--src", "aa", "--tgt", "ab", "--sweep", "0:1:0.1"]
+    code, out, _ = _cli(*argv)
+    assert code == 0
+    report = tmp_path / "report.txt"
+    with open("/dev/full", "wb") as full:
+        code, _, err = _cli(*argv, "--report", str(report), stdout=full)
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith(b"lexinduce: ")] == [
+        b"lexinduce: OSError: [Errno 28] No space left on device"
+    ]
+    assert b"Exception ignored" not in err
     assert report.read_bytes() == out
 
 

@@ -11,6 +11,7 @@ from lexinduce import (
     read_predictions,
     write_predictions,
 )
+from lexinduce.cli import load_config
 
 
 def write(tmp_path, name, text):
@@ -180,3 +181,28 @@ def test_parse_dictionaries_builds_each_raw_entry_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(raw)
     assert pairs == [p for spec in specs for p in parse_dictionary(spec)]
     assert len(pairs) == 2 + 3
+
+
+def _read_pred(path):
+    return read_predictions(path, "fr", "en")
+
+
+@pytest.mark.parametrize("read, text, lineno", [
+    (_read_pred, "chien\tn\tdog\tn\t0.5\tcycle\nchat\tn\tcat\n", 2),
+    (_read_pred, "chien\tn\tdog\tn\t0.5\tcycle\tx\n", 1),
+    (_read_pred, "chien\tn\tdog\tn\tabc\n", 1),
+    (_read_pred, "chien\tn\tdog\tn\tnan\n", 1),
+    (_read_pred, "chien\tn\tdog\tn\tinf\n", 1),
+    (_read_pred, "# header\nchien\tn\tdog\tn\t-0.1\n", 2),
+    (_read_pred, "chien\tn\tdog\tn\t1.5\n", 1),
+    (_read_pred, "chien\tn\tdog\tn\n\tn\tcat\tn\t0.5\n", 2),
+    (parse_manifest, "fr\ten\td.tsv\ne1\ten\td.tsv\n", 2),
+    (parse_manifest, "english\tfr\td.tsv\n", 1),
+    (load_config, "# settings\nalgo=cd\nmin_len 4\n", 3),
+], ids=["3-columns", "7-columns", "confidence-abc", "confidence-nan", "confidence-inf", "confidence-below-0",
+        "confidence-above-1", "empty-rep", "manifest-e1", "manifest-english", "config-without-equals"])
+def test_malformed_input_line_names_its_file_and_line(tmp_path, read, text, lineno):
+    path = write(tmp_path, "input.tsv", text)
+    with pytest.raises(MalformedLine) as exc:
+        read(path)
+    assert (exc.value.path, exc.value.lineno) == (path, lineno)
