@@ -32,15 +32,22 @@ class UsageError(Exception):
     pass
 
 
-def _to_devnull(stream) -> None:
-    """Point `stream`'s file descriptor at the null device.
+def _write(stream, text: str) -> None:
+    """Write and flush `text`; a stream closed at start (`None`) takes nothing.
 
-    What the stream still holds then goes nowhere, so the interpreter's
-    final flush succeeds instead of failing the exit status.
+    On a failed write the stream's fd is pointed at the null device before
+    the error is raised, so the interpreter's final flush cannot fail too.
     """
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+    if stream is None:
+        return
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
 
 
 def _say(text: str) -> None:
@@ -51,10 +58,9 @@ def _say(text: str) -> None:
     stays its own.
     """
     try:
-        sys.stderr.write(text + "\n")
-        sys.stderr.flush()
+        _write(sys.stderr, text + "\n")
     except OSError:
-        _to_devnull(sys.stderr)
+        pass
 
 
 def _info(message: str) -> None:
@@ -254,14 +260,9 @@ def cmd_evaluate(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        # The report is complete, and what stdout still holds goes nowhere, so the
-        # exit flush cannot fail. A reader that stops early (`| head`) has all it wants.
-        _to_devnull(sys.stdout)
-        if not isinstance(exc, BrokenPipeError):
-            raise
+        _write(sys.stdout, text)
+    except BrokenPipeError:
+        pass  # the report is complete, and a reader that stops early (`| head`) has all it wants
     return 0
 
 

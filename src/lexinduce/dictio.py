@@ -17,6 +17,10 @@ from .errors import InvalidSpec, MalformedLine, MissingFile
 
 Pair = tuple[LexicalEntry, LexicalEntry]
 
+# The sixth column of a prediction file, in merge preference: on equal
+# confidence the more specific provenance wins.
+PROVENANCES = ("type_b", "type_a", "transitive", "cycle")
+
 
 class DictionarySpec(Validated, namedtuple("DictionarySpec", "path lang_a lang_b")):
     __slots__ = ()
@@ -157,7 +161,7 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
 
     Confidence and provenance columns are optional; a plain 4-column
     dictionary file reads as predictions at confidence 1. A confidence
-    must be a number in [0, 1].
+    must be a number in [0, 1], and a provenance one of `PROVENANCES`.
     """
     out = []
     for lineno, line in _data_lines(path):
@@ -173,6 +177,8 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
                 conf = math.nan
             if not 0.0 <= conf <= 1.0:
                 raise MalformedLine(path, lineno, f"bad confidence: {cols[4]!r}")
+            if len(cols) == 6 and cols[5] not in PROVENANCES:
+                raise MalformedLine(path, lineno, f"bad provenance: {cols[5]!r}")
         try:
             out.append((make_entry(cols[0], lang_a, cols[1]), make_entry(cols[2], lang_b, cols[3]), conf))
         except ValueError as exc:

@@ -48,8 +48,6 @@ class TranslationGraph:
         # Duplicate pairs, in either orientation, collapse here in one pass per vertex.
         self._adj = [sorted(set(nbrs)) for nbrs in adj]
         self._edge_count = sum(map(len, self._adj)) // 2
-        for members in self._lang_ids.values():
-            members.sort()
 
     def _add_vertex(self, entry: LexicalEntry) -> int:
         vid = len(self._entries)

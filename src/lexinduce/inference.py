@@ -11,12 +11,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
+from .dictio import PROVENANCES
 from .entries import LexicalEntry, Validated
 from .errors import NotACycle
 from .graph import TranslationGraph
-
-# In merge preference: on equal confidence the more specific provenance wins.
-PROVENANCES = ("type_b", "type_a", "transitive", "cycle")
 
 
 class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_len context_depth")):

@@ -15,57 +15,52 @@ Edge = tuple[str, str]
 def biconnected_components(nodes: list[str], edges: set[Edge]) -> list[set[Edge]]:
     """Edge sets of the biconnected components of an undirected graph.
 
-    Iterative Hopcroft-Tarjan articulation-point decomposition; a bridge
-    forms its own single-edge component. Traversal order is fixed
-    (sorted nodes, sorted neighbors) so output is deterministic.
+    Three passes over one depth-first order, without recursion; a bridge
+    forms its own single-edge component.
+    (a) An iterative DFS numbers each node when it is popped (`disc`) and
+        records its tree parent.
+    (b) In reverse discovery order, descendants first, each node's low
+        point is the least `disc` of itself, its children's low points and
+        its non-tree neighbours.
+    (c) In discovery order, the tree edge into `v` starts a component when
+        `low[v] >= disc[parent]`, and otherwise joins its parent's. Every
+        edge belongs to the component of its endpoint discovered last.
+    A component's edges do not depend on the traversal order.
     """
     adj: dict[str, list[str]] = {n: [] for n in nodes}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    for n in adj:
-        adj[n].sort()
 
     disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    comps: list[set[Edge]] = []
-    edge_stack: list[Edge] = []
-    counter = 0
-
-    for root in sorted(adj):
-        if root in disc:
-            continue
-        # stack holds (vertex, parent, iterator index into adj[vertex])
-        stack = [(root, None, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
+    parent: dict[str, str | None] = {}
+    order: list[str] = []
+    for root in nodes:
+        stack = [(root, None)]
         while stack:
-            v, parent, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, parent, i + 1))
-                w = adj[v][i]
-                if w == parent:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    edge_stack.append((v, w))
-                    stack.append((w, v, 0))
-                elif disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
+            v, p = stack.pop()
+            if v not in disc:
+                disc[v] = len(order)
+                parent[v] = p
+                order.append(v)
+                stack.extend((w, v) for w in adj[v] if w not in disc)
+
+    low: dict[str, int] = {}
+    for v in reversed(order):
+        low[v] = min([disc[v]] + [low[w] if parent[w] == v else disc[w] for w in adj[v] if w != parent[v]])
+
+    comp_of: dict[str, int] = {}  # the component of the tree edge into each non-root node
+    comps: list[set[Edge]] = []
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            if low[v] >= disc[p]:
+                comp_of[v] = len(comps)
+                comps.append(set())
             else:
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        comp: set[Edge] = set()
-                        while edge_stack:
-                            a, b = edge_stack.pop()
-                            comp.add((a, b) if a < b else (b, a))
-                            if (a, b) == (pv, v):
-                                break
-                        comps.append(comp)  # never empty: it ends at the tree edge (pv, v)
+                comp_of[v] = comp_of[p]
+    for a, b in edges:
+        comps[comp_of[a if disc[a] > disc[b] else b]].add((a, b) if a < b else (b, a))
     return comps
 
 

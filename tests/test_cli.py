@@ -621,6 +621,88 @@ def test_unwritable_stderr_exits_0_with_the_same_outputs(tmp_path, monkeypatch):
     assert outputs["full"] == outputs["pipe"]
 
 
+# Each state of the standard streams a run may start in, as a shell redirection.
+# `broken-pipe` is a stdout pipe whose reader is gone before the first write.
+STREAM_STATES = {
+    "stdout-closed": ">&-",
+    "stderr-closed": "2>&-",
+    "both-closed": ">&- 2>&-",
+    "stdout-full": ">/dev/full",
+    "stderr-full": "2>/dev/full",
+    "broken-pipe": "",
+}
+STREAM_COMMANDS = ("generate", "evaluate", "evaluate-sweep", "synth", "usage-error")
+
+
+def _stream_argv(command, inst, out):
+    """argv of `command` on the instance `inst`, writing every file it makes under `out`."""
+    manifest = str(inst / "manifest.tsv")
+    evaluate = ["evaluate", "--pred", str(inst / "pred.tsv"), "--gold", str(inst / "gold_aa-ab.tsv"), "--src", "aa",
+                "--tgt", "ab", "--manifest", manifest, "--report", str(out / "report.txt")]
+    return {
+        "generate": ["generate", "--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                     "--manifest", manifest, "--out", str(out / "pred.tsv")],
+        "evaluate": evaluate,
+        "evaluate-sweep": [*evaluate, "--sweep", "0:1:0.1"],
+        "synth": ["synth", "--out-dir", str(out / "synth"), "--langs", "4", "--senses", "40", "--seed", "3"],
+        "usage-error": ["generate", "--algo", "cd"],
+    }[command]
+
+
+def _files(root):
+    """Every file under `root`, as {relative path: bytes}."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _run_in_state(state, argv):
+    """Run the CLI in a child whose streams start in `state`; return (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lexinduce.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as by default: the interpreter flushes once more at exit
+    shell = ["sh", "-c", f'exec "$@" {STREAM_STATES[state]}', "sh", sys.executable, "-m", "lexinduce", *argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        stdout = write_end if state == "broken-pipe" else subprocess.PIPE
+        proc = subprocess.run(shell, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def stream_runs(tmp_path_factory):
+    """A 4-language instance with a prediction file, and each command's run with both streams on pipes."""
+    inst = tmp_path_factory.mktemp("streams") / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "4", "--senses", "40", "--polysemy", "0.2",
+                 "--edge-prob", "0.7", "--seed", "5"]) == 0
+    assert main(["generate", "--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", str(inst / "manifest.tsv"), "--out", str(inst / "pred.tsv")]) == 0
+    normal = {}
+    for command in STREAM_COMMANDS:
+        out = inst.parent / f"normal-{command}"
+        out.mkdir()
+        code, stdout, _ = _cli(*_stream_argv(command, inst, out))
+        normal[command] = code, stdout, _files(out)
+    return inst, normal
+
+
+@pytest.mark.parametrize("state", sorted(STREAM_STATES))
+@pytest.mark.parametrize("command", STREAM_COMMANDS)
+def test_every_command_in_every_stream_state(stream_runs, tmp_path, command, state):
+    if "/dev/full" in STREAM_STATES[state] and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    inst, normal = stream_runs
+    normal_code, normal_out, normal_files = normal[command]
+    code, out, err = _run_in_state(state, _stream_argv(command, inst, tmp_path))
+    assert normal_code == (1 if command == "usage-error" else 0)
+    # Only a full stdout is an error, and only for the command that prints.
+    assert code == (2 if state == "stdout-full" and command.startswith("evaluate") else normal_code)
+    assert b"Exception ignored" not in err
+    assert _files(tmp_path) == normal_files
+    if state.startswith("stderr"):  # stdout is the pipe the normal run had
+        assert out == normal_out
+
+
 @pytest.mark.parametrize("sweep, labels", [
     ("0:1:0.1", [f"{i / 10:.2f}" for i in range(11)]),
     ("0:0.01:0.002", ["0.000", "0.002", "0.004", "0.006", "0.008", "0.010"]),

@@ -1,8 +1,9 @@
 """Each CLI process imports only the modules its command runs.
 
-Every probe is a child `python -S -E` with `src` as its working
-directory, as `python -S -E -m lexinduce` runs there: no site-packages,
-no environment, no bytecode but what the interpreter compiles. The file
+Every probe is a child `python -S -E -B` with `src` as its working
+directory, as `python -S -E -m lexinduce` runs there: no site-packages
+and no environment. `-B` keeps the probes from writing `__pycache__`
+into the source tree, which `-E` would otherwise allow. The file
 needs no pytest, so `python -S -E tests/test_imports.py` runs the same
 checks in that mode.
 """
@@ -33,7 +34,7 @@ COMMAND_MODULES = {f"lexinduce.{m}" for m in ("acd", "graph", "inference", "otic
 
 
 def _child(*args):
-    return subprocess.run([sys.executable, "-S", "-E", *args], cwd=SRC, capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, "-S", "-E", "-B", *args], cwd=SRC, capture_output=True, timeout=120)
 
 
 def loaded(tmp, *argv):

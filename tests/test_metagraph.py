@@ -62,23 +62,28 @@ def test_components_against_networkx():
     import networkx as nx
 
     rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randrange(3, 12)
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    edges.add((f"l{i:02d}", f"l{j:02d}"))
-        if not edges:
-            continue
-        nodes = sorted({x for e in edges for x in e})
-        ours = {frozenset(c) for c in biconnected_components(nodes, edges)}
-        G = nx.Graph(edges)
-        theirs = {
-            frozenset(tuple(sorted(e)) for e in comp)
-            for comp in nx.biconnected_component_edges(G)
-        }
-        assert ours == theirs
+    for p in (0.15, 0.3, 0.6):  # sparse graphs have bridges and several connected parts
+        for _ in range(50):
+            n = rng.randrange(3, 12)
+            edges = set()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        edges.add((f"l{i:02d}", f"l{j:02d}"))
+            if not edges:
+                continue
+            nodes = sorted({x for e in edges for x in e})
+            ours = {frozenset(c) for c in biconnected_components(nodes, edges)}
+            G = nx.Graph(edges)
+            theirs = {
+                frozenset(tuple(sorted(e)) for e in comp)
+                for comp in nx.biconnected_component_edges(G)
+            }
+            assert ours == theirs
+    # a path deeper than the recursion limit: every edge is a bridge
+    path = [f"v{i:04d}" for i in range(2000)]
+    comps = biconnected_components(path, {(a, b) for a, b in zip(path, path[1:])})
+    assert sorted(map(sorted, comps)) == [[(a, b)] for a, b in zip(path, path[1:])]
 
 
 def test_large_selection_shape():
