@@ -20,7 +20,7 @@ from collections import Counter
 # Only what builds the parser is imported here; each command imports the
 # modules it runs, so a process loads no code its command does not use.
 from . import dictio
-from .entries import normalize_field, normalize_lang
+from .entries import lang_code, normalize_field
 from .errors import LexinduceError, UnknownLanguage
 
 EXIT_USAGE = 1
@@ -68,10 +68,23 @@ def _info(message: str) -> None:
     _say(f"INFO {message}")
 
 
+def _print(text: str) -> None:
+    """Output on stdout; a reader that stops early (`| head`) is not an error, any other failed write is."""
+    try:
+        _write(sys.stdout, text)
+    except BrokenPipeError:
+        pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve 2 for input errors
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+    def _print_message(self, message, file=None):
+        # Only help comes here, as `error` above is ours. argparse's own method
+        # swallows a failed write and sends help for a closed stdout to stderr.
+        _print(message)
 
 
 def _switch(text: str) -> bool:
@@ -85,12 +98,11 @@ def _switch(text: str) -> bool:
 # its `--flag` and is the set of config keys; defaults live in `inference`.
 SETTINGS = {
     "algo": str,
-    "pivot": normalize_lang,
+    "pivot": lang_code,
     "threads": int,  # validated only: the search is serial
     "bcc_filter": _switch,
     "min_len": int,
     "max_len": int,
-    "context_depth": int,
     "threshold": float,
     "transitive_pos": lambda text: frozenset(t for t in map(normalize_field, text.split(",")) if t),
     "transitive_depth": int,
@@ -259,10 +271,7 @@ def cmd_evaluate(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
-    try:
-        _write(sys.stdout, text)
-    except BrokenPipeError:
-        pass  # the report is complete, and a reader that stops early (`| head`) has all it wants
+    _print(text)  # after the report, so the file is complete whatever happens to stdout
     return 0
 
 
@@ -306,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="predict one language pair from a dictionary manifest")
     gen.add_argument("--manifest", required=True)
-    gen.add_argument("--src", required=True, type=normalize_lang)
-    gen.add_argument("--tgt", required=True, type=normalize_lang)
+    gen.add_argument("--src", required=True, type=lang_code)
+    gen.add_argument("--tgt", required=True, type=lang_code)
     gen.add_argument("--out", required=True)
     gen.add_argument("--config")
     for name, parse in SETTINGS.items():
@@ -318,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score a prediction file against a gold dictionary")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gold", required=True)
-    ev.add_argument("--src", required=True, type=normalize_lang)
-    ev.add_argument("--tgt", required=True, type=normalize_lang)
+    ev.add_argument("--src", required=True, type=lang_code)
+    ev.add_argument("--tgt", required=True, type=lang_code)
     ev.add_argument("--manifest", help="input dictionaries, used for the BWR vocabulary")
     ev.add_argument("--sweep", help="threshold sweep start:stop:step, one output row per threshold")
     ev.add_argument("--report", help="also write the output lines to this file")
@@ -338,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # inside, so a failed `--help` write is reported
         return args.func(args)
     except UsageError as exc:
         _say(f"lexinduce: usage error: {exc}")

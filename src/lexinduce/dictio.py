@@ -12,7 +12,7 @@ import os
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
-from .entries import LexicalEntry, Validated, make_entry, normalize_lang, LANG_RE
+from .entries import LexicalEntry, Validated, lang_code, make_entry
 from .errors import InvalidSpec, MalformedLine, MissingFile
 
 Pair = tuple[LexicalEntry, LexicalEntry]
@@ -114,11 +114,11 @@ def parse_manifest(path) -> list[DictionarySpec]:
         cols = line.split("\t")
         if len(cols) != 3:
             raise MalformedLine(path, lineno, f"expected 3 columns, got {len(cols)}")
-        lang_a, lang_b, dict_path = cols
-        lang_a, lang_b = normalize_lang(lang_a), normalize_lang(lang_b)
-        for code in (lang_a, lang_b):
-            if not LANG_RE.match(code):
-                raise MalformedLine(path, lineno, f"bad language code: {code!r}")
+        try:
+            lang_a, lang_b = lang_code(cols[0]), lang_code(cols[1])
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, str(exc)) from None
+        dict_path = cols[2]
         if lang_a == lang_b:
             raise MalformedLine(path, lineno, f"both languages are {lang_a!r}")
         if not dict_path:

@@ -65,6 +65,14 @@ def normalize_lang(code: str) -> str:
     return normalize_field(code).lower()
 
 
+def lang_code(text: str) -> str:
+    """A normalized, checked language code from a manifest row, flag or config line."""
+    code = normalize_lang(text)
+    if not LANG_RE.match(code):
+        raise ValueError(f"bad language code: {code!r}")
+    return code
+
+
 def make_entry(rep: str, lang: str, pos: str) -> LexicalEntry:
     """Build a normalized entry from raw field text."""
     return LexicalEntry(normalize_field(rep), normalize_lang(lang), normalize_field(pos))

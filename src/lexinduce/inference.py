@@ -18,13 +18,22 @@ from .graph import TranslationGraph
 
 
 class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_len context_depth")):
+    """Cycle lengths in vertices, and the BFS radius the search walks.
+
+    A cycle through the source with at most `max_len` vertices lies within
+    `max_len // 2` of it, so no output depends on the radius; left out, it
+    is the least one allowed, `(max_len + 1) // 2`.
+    """
+
     __slots__ = ()
 
-    def __new__(cls, min_len: int = 4, max_len: int = 6, context_depth: int = 3):
+    def __new__(cls, min_len: int = 4, max_len: int = 6, context_depth: int | None = None):
         if min_len < 3:
             raise ValueError("min_len must be >= 3")
         if max_len < min_len:
             raise ValueError("max_len must be >= min_len")
+        if context_depth is None:
+            context_depth = (max_len + 1) // 2
         if context_depth < 1:
             raise ValueError("context_depth must be >= 1")
         if max_len > 2 * context_depth:

@@ -15,11 +15,13 @@ from lexinduce import (
     build_graph,
     build_pivot_table,
     generate,
+    largest_biconnected_language_component,
     merge_scored,
     otic_predict,
     otic_type_b,
     predict,
     threshold_filter,
+    transitive_predict,
 )
 from oracles import random_pivot_instance
 
@@ -40,6 +42,17 @@ def test_threshold_filter_boundaries():
     assert threshold_filter(pairs, 0.0) == pairs
     assert {p.confidence for p in threshold_filter(pairs, 0.6)} == {2 / 3, 1.0}
     assert threshold_filter(pairs, 1.0) == {sp(1.0, "type_b", tgt="b3")}
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: threshold_filter({sp(0.5)}, -0.1), "tau must be in"),
+    (lambda: threshold_filter({sp(0.5)}, 1.5), "tau must be in"),
+    (lambda: transitive_predict(build_graph([(e("a", "aa"), e("b", "bb"))]), "aa", "bb", {"n"}, 0), "depth must be"),
+    (lambda: largest_biconnected_language_component([]), "at least one dictionary"),
+], ids=["tau-below-0", "tau-above-1", "transitive-depth-0", "bcc-of-nothing"])
+def test_library_call_rejects_bad_argument(call, reason):
+    with pytest.raises(ValueError, match=reason):
+        call()
 
 
 def test_threshold_is_inclusive():

@@ -140,6 +140,48 @@ def test_verbose_flag_is_a_usage_error(tmp_path):
     assert not (tmp_path / "inst").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("generate", "--src"), ("generate", "--tgt"), ("generate", "--pivot"),
+                                           ("evaluate", "--src"), ("evaluate", "--tgt")])
+def test_bad_language_code_flag_is_usage_error(tmp_path, capsys, command, flag):
+    missing = str(tmp_path / "nope.tsv")  # no file exists: the check comes before any read
+    if command == "generate":
+        argv = ["generate", "--manifest", missing, "--out", str(tmp_path / "p.tsv"), "--pivot", "ac"]
+    else:
+        argv = ["evaluate", "--pred", missing, "--gold", missing, "--manifest", missing]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--src", "aa", "--tgt", "ab", flag, "english"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "'english'" in err
+    assert "INFO" not in err
+
+
+def test_context_depth_flag_is_a_usage_error(synth_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"),
+              "--out", str(tmp_path / "p.tsv"), "--context-depth", "3"])
+    assert exc.value.code == 1
+    assert not (tmp_path / "p.tsv").exists()
+
+
+@pytest.mark.parametrize("max_len", [7, 8])
+def test_max_len_alone_sets_the_context_depth(tmp_path, max_len):
+    from lexinduce import CycleConstraints, InferenceParams, build_graph, parse_dictionaries, parse_manifest, predict
+
+    inst = tmp_path / "inst"
+    assert main(["synth", "--out-dir", str(inst), "--langs", "4", "--senses", "40",
+                 "--polysemy", "0.2", "--edge-prob", "0.6", "--seed", "5"]) == 0
+    manifest = str(inst / "manifest.tsv")
+    cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
+    assert main(["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--max-len", str(max_len),
+                 "--threshold", "0", "--manifest", manifest, "--out", str(cli)]) == 0
+    params = InferenceParams(constraints=CycleConstraints(4, max_len, 4), threshold=0.0)
+    g = build_graph(parse_dictionaries(parse_manifest(manifest)))
+    lexinduce.write_predictions(str(lib), predict(g, "cd", "aa", "ab", params))
+    assert len(read(cli).splitlines()) > 1
+    assert read(cli) == read(lib)
+
+
 def test_bcc_filter_flag(tmp_path, capsys):
     # triangle aa-ab-ac plus pendant ac-ad; pendant pair must be dropped
     inst = tmp_path / "inst"
@@ -190,7 +232,7 @@ def test_evaluate_sweep_rows_non_increasing(synth_dir, tmp_path, capsys):
 
 def test_config_file_with_flag_override(synth_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("algo=acd\npivot=ac\nthreshold=0.9\nmin_len=4\nmax_len=4\ncontext_depth=2\n", encoding="utf-8")
+    cfg.write_text("algo=acd\npivot=ac\nthreshold=0.9\nmin_len=4\nmax_len=4\n", encoding="utf-8")
     p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
     base = ["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(synth_dir / "manifest.tsv"), "--config", str(cfg)]
     assert main(base + ["--out", str(p1)]) == 0
@@ -210,7 +252,8 @@ def test_config_unknown_key_is_input_error(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "p.tsv").exists()
 
 
-@pytest.mark.parametrize("line", ["min_len=abc", "threads=x", "threshold=high", "bcc_filter=ture"])
+@pytest.mark.parametrize("line", ["min_len=abc", "threads=x", "threshold=high", "bcc_filter=ture", "pivot=english",
+                                  "context_depth=3"])
 def test_config_bad_value_fails_on_its_line(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"algo=acd\n{line}\npivot=ac\n", encoding="utf-8")
@@ -631,7 +674,9 @@ STREAM_STATES = {
     "stderr-full": "2>/dev/full",
     "broken-pipe": "",
 }
-STREAM_COMMANDS = ("generate", "evaluate", "evaluate-sweep", "synth", "usage-error")
+STREAM_COMMANDS = ("generate", "evaluate", "evaluate-sweep", "synth", "usage-error", "help", "generate-help")
+# The commands that print to stdout, for which a full stdout is an error.
+PRINTING = ("evaluate", "evaluate-sweep", "help", "generate-help")
 
 
 def _stream_argv(command, inst, out):
@@ -646,6 +691,8 @@ def _stream_argv(command, inst, out):
         "evaluate-sweep": [*evaluate, "--sweep", "0:1:0.1"],
         "synth": ["synth", "--out-dir", str(out / "synth"), "--langs", "4", "--senses", "40", "--seed", "3"],
         "usage-error": ["generate", "--algo", "cd"],
+        "help": ["--help"],
+        "generate-help": ["generate", "--help"],
     }[command]
 
 
@@ -695,9 +742,11 @@ def test_every_command_in_every_stream_state(stream_runs, tmp_path, command, sta
     normal_code, normal_out, normal_files = normal[command]
     code, out, err = _run_in_state(state, _stream_argv(command, inst, tmp_path))
     assert normal_code == (1 if command == "usage-error" else 0)
-    # Only a full stdout is an error, and only for the command that prints.
-    assert code == (2 if state == "stdout-full" and command.startswith("evaluate") else normal_code)
+    # Only a full stdout is an error, and only for a command that prints.
+    assert code == (2 if state == "stdout-full" and command in PRINTING else normal_code)
     assert b"Exception ignored" not in err
+    if command.endswith("help") and not state.startswith("stderr"):
+        assert err == (b"lexinduce: OSError: [Errno 28] No space left on device\n" if state == "stdout-full" else b"")
     assert _files(tmp_path) == normal_files
     if state.startswith("stderr"):  # stdout is the pipe the normal run had
         assert out == normal_out

@@ -130,3 +130,11 @@ def test_constraints_validation():
         CycleConstraints(4, 3, 3)
     with pytest.raises(ValueError):
         CycleConstraints(4, 8, 3)  # max_len > 2 * context_depth
+
+
+def test_context_depth_defaults_to_the_least_radius_allowed():
+    assert CycleConstraints() == (4, 6, 3)
+    assert CycleConstraints(4, 8) == (4, 8, 4)
+    assert CycleConstraints(3, 7) == (3, 7, 4)
+    assert CycleConstraints(3, 3) == (3, 3, 2)
+    assert CycleConstraints(4, 6, 5) == (4, 6, 5)

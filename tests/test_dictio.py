@@ -199,9 +199,13 @@ def _read_pred(path):
     (_read_pred, "chien\tn\tdog\tn\t0.5\tcycle\nchat\tn\tcat\tn\t0.5\tbogus\n", 2),
     (parse_manifest, "fr\ten\td.tsv\ne1\ten\td.tsv\n", 2),
     (parse_manifest, "english\tfr\td.tsv\n", 1),
+    (parse_manifest, "fr\ten\td.tsv\nfr\td.tsv\n", 2),
+    (parse_manifest, "fr\ten\td.tsv\tx\n", 1),
     (load_config, "# settings\nalgo=cd\nmin_len 4\n", 3),
+    (load_config, "algo=acd\npivot=english\n", 2),
 ], ids=["3-columns", "7-columns", "confidence-abc", "confidence-nan", "confidence-inf", "confidence-below-0",
-        "confidence-above-1", "empty-rep", "provenance-bogus", "manifest-e1", "manifest-english", "config-without-equals"])
+        "confidence-above-1", "empty-rep", "provenance-bogus", "manifest-e1", "manifest-english", "manifest-2-columns",
+        "manifest-4-columns", "config-without-equals", "config-pivot-english"])
 def test_malformed_input_line_names_its_file_and_line(tmp_path, read, text, lineno):
     path = write(tmp_path, "input.tsv", text)
     with pytest.raises(MalformedLine) as exc:

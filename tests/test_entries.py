@@ -65,14 +65,22 @@ DOG, CHIEN = LexicalEntry("dog", "en", "n"), LexicalEntry("chien", "fr", "n")
 @pytest.mark.parametrize("how", CONSTRUCTIONS)
 @pytest.mark.parametrize("cls, base, bad, reason", [
     (CycleConstraints, (4, 6, 3), (4, 7, 3), "max_len must be <= 2 \\* context_depth"),
+    (CycleConstraints, (4, 6, 3), (3, 3, 0), "context_depth must be >= 1"),
     (InferenceParams, (CycleConstraints(), 0.6, frozenset({"np"}), 4), (CycleConstraints(), 1.5, frozenset(), 4),
      "threshold must be in"),
+    (InferenceParams, (CycleConstraints(), 0.6, frozenset({"np"}), 4), (CycleConstraints(), 0.6, frozenset(), 0),
+     "transitive_depth must be >= 1"),
     (ScoredPair, (DOG, CHIEN, 0.5, "cycle"), (DOG, CHIEN, 0.5, "guess"), "unknown provenance"),
     (ScoredPair, (DOG, CHIEN, 0.5, "cycle"), (DOG, DOG, 0.5, "cycle"), "share a language"),
+    (ScoredPair, (DOG, CHIEN, 0.5, "cycle"), (DOG, CHIEN, 1.5, "cycle"), "confidence must be in"),
     (DictionarySpec, ("d.tsv", "en", "fr"), ("d.tsv", "en", "en"), "identical languages"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, 1, 0.0, 1.5, 0), "probabilities must be in"),
-], ids=["CycleConstraints", "InferenceParams", "ScoredPair-provenance", "ScoredPair-languages",
-        "DictionarySpec", "SynthParams"])
+    (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (1, 10, 1, 0.0, 1.0, 0), "at least 2 languages"),
+    (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 0, 1, 0.0, 1.0, 0), "at least 1 sense"),
+    (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, -1, 0.0, 1.0, 0), "word count must be >= 0"),
+], ids=["CycleConstraints", "CycleConstraints-depth", "InferenceParams", "InferenceParams-transitive-depth",
+        "ScoredPair-provenance", "ScoredPair-languages", "ScoredPair-confidence", "DictionarySpec", "SynthParams",
+        "SynthParams-languages", "SynthParams-senses", "SynthParams-words"])
 def test_every_record_construction_path_validates(how, cls, base, bad, reason):
     assert CONSTRUCTIONS[how](cls, base, base) == base
     with pytest.raises((ValueError, InvalidSpec), match=reason):

@@ -36,6 +36,7 @@ def test_undirected_dedup():
     assert g.edge_count == 1
     assert g.has_edge(e("a", "aa"), e("b", "bb"))
     assert g.has_edge(e("b", "bb"), e("a", "aa"))
+    assert not g.has_edge(e("a", "aa"), e("z", "zz"))  # an entry not in the graph
 
 
 def test_intra_language_pair_rejected():

@@ -14,7 +14,9 @@ from lexinduce import (
     UnknownLanguage,
     build_graph,
     cd_predict,
+    enumerate_cycles,
     generate,
+    predict,
     transitive_predict,
 )
 from oracles import oracle_cd, random_multipartite_graph
@@ -86,6 +88,37 @@ def test_matches_bruteforce_across_constraints(seed, min_len, extra, depth):
     src, tgt = rng.sample(g.languages, 2)
     got = {(sp.source, sp.target): sp.confidence for sp in cd_predict(g, src, tgt, params)}
     assert got == oracle_cd(g, src, tgt, params)
+
+
+@pytest.mark.parametrize("min_len, max_len", [(lo, hi) for lo in range(3, 7) for hi in range(lo, 7)])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_no_output_depends_on_the_context_depth(min_len, max_len, seed):
+    # Every vertex of a cycle through the source with at most max_len
+    # vertices lies within max_len // 2 of it, so each radius from the
+    # least one allowed up walks the same cycles and induces the same edges.
+    rng = random.Random(seed)
+    g = random_multipartite_graph(rng, rng.randrange(3, 6), rng.randrange(10, 16), 0.35, pos_tags=("n", "v", "np"))
+    assume(len(g.languages) >= 3)
+    src, tgt, *others = g.languages
+    pivots = [lang for lang in others if g.edges_between(src, lang) and g.edges_between(lang, tgt)]
+    assume(pivots)  # ACD needs both pivot dictionaries
+    pivot = pivots[0]
+    least = (max_len + 1) // 2
+    assert CycleConstraints(min_len, max_len) == (min_len, max_len, least)
+
+    def results(depth):
+        c = CycleConstraints(min_len, max_len, depth)
+        params = InferenceParams(constraints=c, threshold=0.0)
+        return (
+            cd_predict(g, src, tgt, params),
+            {v: enumerate_cycles(g, v, c) for v in g.vertices},
+            predict(g, "acd", src, tgt, params, pivot),
+        )
+
+    expected = results(least)
+    for depth in (least + 1, least + 2):
+        assert results(depth) == expected
 
 
 def reversed_pairs(pairs):

@@ -27,6 +27,12 @@ def test_edge_prob_zero_is_empty_graph():
     assert cd_predict(inst.graph, *inst.languages[:2], PARAMS) == set()
 
 
+def test_zero_words_per_sense_is_a_graph_without_words():
+    inst = generate(SynthParams(n_langs=3, n_senses=10, words_per_sense_per_lang=0, seed=1))
+    assert inst.graph.vertex_count == 0
+    assert inst.gold == {} and inst.dictionaries == {}
+
+
 def test_gold_counts_match_bruteforce_recount():
     p = SynthParams(n_langs=3, n_senses=15, words_per_sense_per_lang=2, polysemy_rate=0.3, edge_prob=0.5, seed=3)
     inst = generate(p)
