@@ -16,7 +16,7 @@ _EXPORTS = {
     "acd": ("AcdConfig", "acd_predict", "merge_scored", "predict", "threshold_filter"),
     "dictio": (
         "DictionarySpec", "parse_dictionaries", "parse_dictionary", "parse_manifest",
-        "read_predictions", "write_dictionary", "write_predictions",
+        "read_dictionaries", "read_predictions", "write_dictionary", "write_predictions",
     ),
     "entries": ("LexicalEntry", "make_entry"),
     "errors": (

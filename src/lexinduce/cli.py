@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 # Only what builds the parser is imported here; each command imports the
 # modules it runs, so a process loads no code its command does not use.
@@ -109,23 +110,45 @@ SETTINGS = {
 }
 
 
-def load_config(path) -> dict:
+def load_config(path, flags: dict | None = None) -> dict:
     """Flat key=value config; `#` comments and blank lines ignored.
 
-    A key outside `SETTINGS` or a value that does not parse fails with
-    `path:line` instead of being ignored.
+    Returns the file's settings with `flags`, the settings given as flags,
+    over them. A key outside `SETTINGS`, a key given twice, a value that
+    does not parse, and a value that its record rejects in the merged
+    settings each fail with `path:line` instead of being ignored. A value
+    rejected beside one that a flag gives is raised as the record raises it.
     """
-    out = {}
+    from .acd import ALGORITHMS
+
+    out, lines = {}, {}
     for lineno, line in dictio._data_lines(path):
         if "=" not in line:
             raise dictio.MalformedLine(path, lineno, "expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SETTINGS:
             raise dictio.MalformedLine(path, lineno, f"unknown key: {key!r}")
+        if key in lines:
+            raise dictio.MalformedLine(path, lineno, f"{key} is already set on line {lines[key]}")
         try:
             out[key] = SETTINGS[key](value)
         except ValueError as exc:
             raise dictio.MalformedLine(path, lineno, f"{key}: {exc}") from None
+        lines[key] = lineno
+    for key, value in (flags or {}).items():
+        out[key] = value
+        lines.pop(key, None)
+    if "algo" in lines and out["algo"] not in ALGORITHMS:
+        raise dictio.MalformedLine(path, lines["algo"], f"unknown algorithm: {out['algo']!r}")
+    try:
+        _params(out)
+    except ValueError as exc:
+        # A record's message names the settings it checks: the latest line
+        # among them is to blame, unless a flag gave one of them.
+        named = [key for key in str(exc).split() if key in out]
+        if named and all(key in lines for key in named):
+            raise dictio.MalformedLine(path, max(map(lines.get, named)), str(exc)) from None
+        raise
     return out
 
 
@@ -134,26 +157,33 @@ def _given(cls, settings: dict) -> dict:
     return {name: settings[name] for name in cls._fields if name in settings}
 
 
+def _params(settings: dict):
+    """The `InferenceParams` of `settings`, whose records check every range."""
+    from .inference import CycleConstraints, InferenceParams
+
+    constraints = CycleConstraints(**_given(CycleConstraints, settings))
+    return InferenceParams(constraints=constraints, **_given(InferenceParams, settings))
+
+
 def _check_pair(args) -> None:
     if args.src == args.tgt:
         raise UsageError(f"--src and --tgt are both {args.src!r}")
 
 
-def _read_selected(specs: list, keep) -> list:
-    """Parse the dictionaries of the specs that `keep` accepts, logging how many."""
+def _select(specs: list, keep) -> list:
+    """The specs that `keep` accepts, logging how many of them are read."""
     chosen = dictio.select_dictionaries(specs, keep)
     _info(f"read {len(chosen)} of {len(specs)} dictionaries")
-    return dictio.parse_dictionaries(chosen)
+    return chosen
 
 
 def cmd_generate(args) -> int:
     from .acd import ALGORITHMS, predict
     from .graph import build_graph
-    from .inference import CycleConstraints, InferenceParams
 
     _check_pair(args)
-    settings = load_config(args.config) if args.config else {}
-    settings.update((k, v) for k in SETTINGS if (v := getattr(args, k)) is not None)
+    flags = {k: v for k in SETTINGS if (v := getattr(args, k)) is not None}
+    settings = load_config(args.config, flags) if args.config else flags
     algo = settings.get("algo", "acd")
     if algo not in ALGORITHMS:
         raise UsageError(f"unknown algorithm: {algo!r}")
@@ -162,10 +192,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--pivot is required for --algo {algo}")
     if algo != "cd" and pivot in (args.src, args.tgt):
         raise UsageError(f"--pivot {pivot!r} is the source or target language")
-    params = InferenceParams(
-        constraints=CycleConstraints(**_given(CycleConstraints, settings)),
-        **_given(InferenceParams, settings),
-    )
+    params = _params(settings)
 
     # Ingest allocates only acyclic containers, so the cyclic collector
     # would find nothing there; and the graph lives to the end of the run,
@@ -187,7 +214,10 @@ def cmd_generate(args) -> int:
                 if lang not in named:
                     raise UnknownLanguage(lang)
         pivot_pairs = ({args.src, pivot}, {pivot, args.tgt})
-        g = build_graph(_read_selected(specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs))
+        chosen = _select(specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs)
+        # The graph takes each file's pairs as that file is read, so the
+        # whole input is never held as one list.
+        g = build_graph(chain.from_iterable(dictio.read_dictionaries(chosen)))
     finally:
         gc.enable()
     gc.freeze()
@@ -252,7 +282,7 @@ def cmd_evaluate(args) -> int:
         # that name either language are read, and no graph is built.
         vocab = {args.src: set(), args.tgt: set()}
         specs = dictio.parse_manifest(args.manifest)
-        for pair in _read_selected(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab):
+        for pair in dictio.parse_dictionaries(_select(specs, lambda spec: spec.lang_a in vocab or spec.lang_b in vocab)):
             for entry in pair:
                 if entry.lang in vocab:
                     vocab[entry.lang].add(entry)

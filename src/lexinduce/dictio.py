@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 from .entries import LexicalEntry, Validated, lang_code, make_entry
 from .errors import InvalidSpec, MalformedLine, MissingFile
@@ -49,20 +50,21 @@ def _data_lines(path):
             yield lineno, line
 
 
-def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
-    """Load bilingual dictionary files as entry pairs, deduplicated per file.
+def read_dictionaries(specs: Iterable[DictionarySpec]) -> Iterator[list[Pair]]:
+    """Yield each dictionary file's entry pairs, deduplicated, as one list.
 
-    Pairs come in spec order, then line order. Entries are built through
-    one cache, keyed by the raw `(lang, rep, pos)` field text and kept for
-    this call only, so each distinct raw entry is normalized and validated
-    once. Duplicate pairs are still found on the normalized entries.
+    A file's list comes as soon as that file is read, in spec order, its
+    pairs in line order, so a caller that chains the lists never holds the
+    whole input at once. Entries are built through one cache, keyed by
+    the raw `(lang, rep, pos)` field text and kept while the generator
+    lives, so each distinct raw entry is normalized and validated once.
+    Duplicate pairs are still found on the normalized entries.
     """
     cache: dict[tuple[str, str, str], LexicalEntry] = {}
     cached = cache.get
-    pairs: list[Pair] = []
     for spec in specs:
         lang_a, lang_b = spec.lang_a, spec.lang_b
-        seen: set[Pair] = set()
+        pairs: dict[Pair, None] = {}  # insertion-ordered, so one hash per pair dedupes it
         for lineno, line in _data_lines(spec.path):
             cols = line.split("\t")
             if len(cols) != 4:
@@ -78,11 +80,16 @@ def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
                         b = cache[key_b] = make_entry(rep_b, lang_b, pos_b)
                 except ValueError as exc:
                     raise MalformedLine(spec.path, lineno, str(exc)) from None
-            pair = (a, b)
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-    return pairs
+            pairs[a, b] = None
+        yield list(pairs)
+
+
+def parse_dictionaries(specs: Iterable[DictionarySpec]) -> list[Pair]:
+    """Load bilingual dictionary files as entry pairs, deduplicated per file.
+
+    The pairs of `read_dictionaries(specs)`, in one list.
+    """
+    return list(chain.from_iterable(read_dictionaries(specs)))
 
 
 def select_dictionaries(specs: list[DictionarySpec], keep: Callable[[DictionarySpec], bool]) -> list[DictionarySpec]:

@@ -45,9 +45,11 @@ class TranslationGraph:
         for v in extra_vertices:
             if v not in ids:
                 self._add_vertex(v)
-        # Duplicate pairs, in either orientation, collapse here in one pass per vertex.
-        self._adj = [sorted(set(nbrs)) for nbrs in adj]
-        self._edge_count = sum(map(len, self._adj)) // 2
+        # Duplicate pairs, in either orientation, collapse here in one pass
+        # per vertex, each row in place, so no second adjacency is built.
+        for nbrs in adj:
+            nbrs[:] = sorted(set(nbrs))
+        self._edge_count = sum(map(len, adj)) // 2
 
     def _add_vertex(self, entry: LexicalEntry) -> int:
         vid = len(self._entries)

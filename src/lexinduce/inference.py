@@ -22,7 +22,9 @@ class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_le
 
     A cycle through the source with at most `max_len` vertices lies within
     `max_len // 2` of it, so no output depends on the radius; left out, it
-    is the least one allowed, `(max_len + 1) // 2`.
+    is the least one allowed, `(max_len + 1) // 2`. Each `ValueError`
+    names the fields it checks, so a config file's reader can blame the
+    line that set them.
     """
 
     __slots__ = ()
@@ -45,6 +47,8 @@ class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_le
 class InferenceParams(
     Validated, namedtuple("InferenceParams", "constraints threshold transitive_pos transitive_depth")
 ):
+    """Inference settings; each `ValueError` names the field it checks, as in `CycleConstraints`."""
+
     __slots__ = ()
 
     def __new__(

@@ -90,8 +90,8 @@ def test_config_unknown_algo_fails_before_ingest(tmp_path, capsys):
     cfg.write_text("algo=foo\n", encoding="utf-8")
     code = main(["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(tmp_path / "nope.tsv"),
                  "--config", str(cfg), "--out", str(tmp_path / "p.tsv")])
-    assert code == 1
-    assert "unknown algorithm: 'foo'" in capsys.readouterr().err
+    assert code == 2
+    assert f"{cfg}:1: unknown algorithm: 'foo'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algo, threshold", [
@@ -253,7 +253,8 @@ def test_config_unknown_key_is_input_error(synth_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["min_len=abc", "threads=x", "threshold=high", "bcc_filter=ture", "pivot=english",
-                                  "context_depth=3"])
+                                  "context_depth=3", "threshold=2", "min_len=2", "transitive_depth=0", "max_len=3",
+                                  "min_len=7", "algo=cd"])
 def test_config_bad_value_fails_on_its_line(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"algo=acd\n{line}\npivot=ac\n", encoding="utf-8")
@@ -263,6 +264,26 @@ def test_config_bad_value_fails_on_its_line(synth_dir, tmp_path, capsys, line):
     assert code == 2
     assert f"{cfg}:2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, error", [
+    ("min_len=7\nmax_len=8\n", [], None),
+    ("max_len=3\n", ["--min-len", "3"], None),
+    ("threshold=2\n", ["--threshold", "0.5"], None),
+    ("min_len=7\n", ["--max-len", "5"], "lexinduce: ValueError: max_len must be >= min_len\n"),
+    ("max_len=5\nthreshold=0.5\nmin_len=6\n", [], ":3: max_len must be >= min_len\n"),
+], ids=["later-line-completes", "flag-completes", "flag-overrides", "flag-is-blamed", "latest-line-is-blamed"])
+def test_config_ranges_are_checked_with_the_flags_merged(synth_dir, tmp_path, capsys, text, flags, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "p.tsv"
+    code = main(["generate", "--algo", "otic", "--pivot", "ac", "--src", "aa", "--tgt", "ab",
+                 "--manifest", str(synth_dir / "manifest.tsv"), "--config", str(cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2 and err.endswith(error) and not out.exists()
 
 
 @pytest.mark.parametrize("word, on", [("1", True), ("TRUE", True), ("Yes", True),
@@ -398,6 +419,19 @@ GOLDEN_SHA256 = {
 
 @pytest.mark.parametrize("algo", sorted(GOLDEN_SHA256))
 def test_generate_output_matches_golden_digest(tmp_path, algo):
+    inst = _bridged_instance(tmp_path)
+    pred = tmp_path / "pred.tsv"
+    assert main(["generate", "--algo", *algo.split(), "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                 "--manifest", str(inst / "manifest.tsv"), "--out", str(pred)]) == 0
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() == GOLDEN_SHA256[algo]
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_SHA256))
+def test_generate_builds_no_whole_input_pair_list(tmp_path, monkeypatch, algo):
+    def refuse(specs):
+        raise AssertionError("generate read every dictionary into one list")
+
+    monkeypatch.setattr(lexinduce.dictio, "parse_dictionaries", refuse)
     inst = _bridged_instance(tmp_path)
     pred = tmp_path / "pred.tsv"
     assert main(["generate", "--algo", *algo.split(), "--src", "aa", "--tgt", "ab", "--pivot", "ac",

@@ -1,3 +1,8 @@
+import gc
+import sys
+import tracemalloc
+from itertools import chain
+
 import pytest
 
 from lexinduce import (
@@ -6,12 +11,15 @@ from lexinduce import (
     LexicalEntry,
     MalformedLine,
     MissingFile,
+    build_graph,
+    parse_dictionaries,
     parse_dictionary,
     parse_manifest,
+    read_dictionaries,
     read_predictions,
     write_predictions,
 )
-from lexinduce.cli import load_config
+from lexinduce.cli import load_config, main
 
 
 def write(tmp_path, name, text):
@@ -203,11 +211,74 @@ def _read_pred(path):
     (parse_manifest, "fr\ten\td.tsv\tx\n", 1),
     (load_config, "# settings\nalgo=cd\nmin_len 4\n", 3),
     (load_config, "algo=acd\npivot=english\n", 2),
+    (load_config, "# settings\nalgo=xyz\n", 2),
+    (load_config, "threshold=0.9\nthreshold=0.1\n", 2),
+    (load_config, "threshold=0.5\nthreshold=2\n", 2),
+    (load_config, "algo=cd\ntransitive_depth=0\n", 2),
+    (load_config, "max_len=5\nthreshold=0.5\nmin_len=6\n", 3),
 ], ids=["3-columns", "7-columns", "confidence-abc", "confidence-nan", "confidence-inf", "confidence-below-0",
         "confidence-above-1", "empty-rep", "provenance-bogus", "manifest-e1", "manifest-english", "manifest-2-columns",
-        "manifest-4-columns", "config-without-equals", "config-pivot-english"])
+        "manifest-4-columns", "config-without-equals", "config-pivot-english", "config-algo-xyz", "config-key-twice",
+        "config-key-twice-out-of-range", "config-transitive-depth-0", "config-max-below-min"])
 def test_malformed_input_line_names_its_file_and_line(tmp_path, read, text, lineno):
     path = write(tmp_path, "input.tsv", text)
     with pytest.raises(MalformedLine) as exc:
         read(path)
     assert (exc.value.path, exc.value.lineno) == (path, lineno)
+
+
+def _synth_specs(tmp_path, seed, langs, edge_prob):
+    """The dictionary specs of a 100-sense synth instance written under `tmp_path`."""
+    out = tmp_path / f"inst{seed}"
+    assert main(["synth", "--out-dir", str(out), "--langs", str(langs), "--senses", "100", "--polysemy", "0.1",
+                 "--edge-prob", str(edge_prob), "--seed", str(seed)]) == 0
+    return parse_manifest(str(out / "manifest.tsv"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streamed_pairs_and_graph_equal_the_pair_list(tmp_path, seed):
+    specs = _synth_specs(tmp_path, seed, 5, 0.6)
+    for spec in specs:  # list every pair twice, so each file has duplicates to drop
+        with open(spec.path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(spec.path, "w", encoding="utf-8") as fh:
+            fh.write(text + text)
+    pairs = parse_dictionaries(specs)
+    assert len(set(pairs)) == len(pairs) > 0
+    assert pairs == list(chain.from_iterable(read_dictionaries(specs)))
+    listed = build_graph(pairs)
+    streamed = build_graph(chain.from_iterable(read_dictionaries(specs)))
+    assert streamed.vertices == listed.vertices
+    assert [list(streamed.adj(v)) for v in range(streamed.vertex_count)] == \
+        [list(listed.adj(v)) for v in range(listed.vertex_count)]
+    assert streamed.edge_count == listed.edge_count
+
+
+def test_read_dictionaries_yields_each_file_as_it_is_read(tmp_path):
+    first = write(tmp_path, "fr-en.tsv", "chien\tn\tdog\tn\nchien\tn\tdog\tn\n")
+    files = read_dictionaries([DictionarySpec(first, "fr", "en"), DictionarySpec(str(tmp_path / "gone.tsv"), "en", "de")])
+    assert next(files) == [(LexicalEntry("chien", "fr", "n"), LexicalEntry("dog", "en", "n"))]
+    with pytest.raises(MissingFile):
+        next(files)
+
+
+def test_streamed_build_peaks_below_the_list_build(tmp_path):
+    # The benchmark's acd-13lang shape at a tenth of its senses: 78
+    # dictionaries, none of them a large share of the input.
+    specs = _synth_specs(tmp_path, 4, 13, 0.3)
+
+    def peak(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pairs = parse_dictionaries(specs)  # also warms every cache the builds below touch
+    held = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+    del pairs
+    listed = peak(lambda: build_graph(parse_dictionaries(specs)))
+    streamed = peak(lambda: build_graph(chain.from_iterable(read_dictionaries(specs))))
+    assert listed - streamed >= held / 2
