@@ -37,17 +37,32 @@ def _data_lines(path):
 
     The file is read in one call and closed before the first line is
     yielded. Universal newlines make CR and CRLF ends read as LF, and
-    `utf-8-sig` drops a leading byte order mark.
+    `utf-8-sig` drops a leading byte order mark. A byte that is not
+    UTF-8 raises `MalformedLine` at its line.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise MissingFile(str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise _invalid_utf8(path, exc) from None
     for lineno, line in enumerate(text.split("\n"), start=1):
         head = line.lstrip()
         if head and head[0] != "#":
             yield lineno, line
+
+
+def _invalid_utf8(path, exc: UnicodeDecodeError) -> MalformedLine:
+    """The `path:line` error for the first byte of `path` that is not UTF-8.
+
+    `exc` comes from reading the whole file at once, so `exc.object` is
+    the file's bytes after any byte order mark. Lines are numbered as
+    `_data_lines` numbers them: CR, LF and CRLF each end a line.
+    """
+    head = exc.object[: exc.start]
+    lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return MalformedLine(path, lineno, f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x}")
 
 
 def read_dictionaries(specs: Iterable[DictionarySpec]) -> Iterator[list[Pair]]:

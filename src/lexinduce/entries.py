@@ -62,7 +62,13 @@ def normalize_field(text: str) -> str:
 
 
 def normalize_lang(code: str) -> str:
-    return normalize_field(code).lower()
+    """The code stripped, NFC-normalized and lower-cased.
+
+    A code that is already normalized comes back as the same object, so
+    the entries built from one checked code all share one string.
+    """
+    norm = normalize_field(code).lower()
+    return code if norm == code else norm
 
 
 def lang_code(text: str) -> str:

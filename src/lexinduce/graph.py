@@ -28,9 +28,13 @@ class TranslationGraph:
     def __init__(self, pairs: Iterable[Pair], extra_vertices: Iterable[LexicalEntry] = ()):
         self._entries: list[LexicalEntry] = []
         self._ids: dict[LexicalEntry, int] = {}
-        self._adj: list[list[int]] = []
         self._lang_ids: dict[str, list[int]] = {}
-        ids, adj = self._ids, self._adj
+        ids = self._ids
+        # Only the two ids of each pair are kept while the pairs stream in;
+        # the rows are built once the input, and any cache its reader
+        # holds, is gone. The ids are the int objects that `_ids` holds.
+        ends: list[int] = []
+        push = ends.append
         for u, v in pairs:
             if u.lang == v.lang:
                 raise IntraLanguagePair(f"{u} -- {v}")
@@ -40,22 +44,28 @@ class TranslationGraph:
             iv = ids.get(v)
             if iv is None:
                 iv = self._add_vertex(v)
-            adj[iu].append(iv)
-            adj[iv].append(iu)
+            push(iu)
+            push(iv)
         for v in extra_vertices:
             if v not in ids:
                 self._add_vertex(v)
+        adj: list[list[int]] = [[] for _ in self._entries]
+        it = iter(ends)
+        for iu, iv in zip(it, it):
+            adj[iu].append(iv)
+            adj[iv].append(iu)
+        del ends, push, it
         # Duplicate pairs, in either orientation, collapse here in one pass
         # per vertex, each row in place, so no second adjacency is built.
         for nbrs in adj:
             nbrs[:] = sorted(set(nbrs))
+        self._adj = adj
         self._edge_count = sum(map(len, adj)) // 2
 
     def _add_vertex(self, entry: LexicalEntry) -> int:
         vid = len(self._entries)
         self._ids[entry] = vid
         self._entries.append(entry)
-        self._adj.append([])
         self._lang_ids.setdefault(entry.lang, []).append(vid)
         return vid
 

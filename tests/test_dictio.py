@@ -23,8 +23,12 @@ from lexinduce.cli import load_config, main
 
 
 def write(tmp_path, name, text):
+    """Write `text` to `tmp_path / name`, as UTF-8 if it is a str, and return the path."""
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -195,6 +199,10 @@ def _read_pred(path):
     return read_predictions(path, "fr", "en")
 
 
+def _read_dict(path):
+    return parse_dictionary(DictionarySpec(path, "fr", "en"))
+
+
 @pytest.mark.parametrize("read, text, lineno", [
     (_read_pred, "chien\tn\tdog\tn\t0.5\tcycle\nchat\tn\tcat\n", 2),
     (_read_pred, "chien\tn\tdog\tn\t0.5\tcycle\tx\n", 1),
@@ -216,10 +224,18 @@ def _read_pred(path):
     (load_config, "threshold=0.5\nthreshold=2\n", 2),
     (load_config, "algo=cd\ntransitive_depth=0\n", 2),
     (load_config, "max_len=5\nthreshold=0.5\nmin_len=6\n", 3),
+    (_read_dict, b"chien\tn\tdog\tn\nchat\tn\tc\xfft\tn\n", 2),
+    (parse_manifest, b"fr\ten\td.tsv\nfr\ten\t\xff.tsv\n", 2),
+    (load_config, b"algo=cd\n# \xff\n", 2),
+    (_read_pred, b"chien\tn\tdog\tn\t0.5\nchat\tn\tc\xfft\tn\t0.5\n", 2),
+    (_read_dict, b"chien\tn\tdog\tn\r\n# c\r\nchat\tn\tc\xfft\tn\r\n", 3),
+    (_read_dict, b"chien\tn\tdog\tn\r# c\rchat\tn\tc\xfft\tn\r", 3),
+    (_read_dict, b"\xef\xbb\xbfchien\tn\tdog\tn\n\nchat\tn\tc\xfft\tn\n", 3),
 ], ids=["3-columns", "7-columns", "confidence-abc", "confidence-nan", "confidence-inf", "confidence-below-0",
         "confidence-above-1", "empty-rep", "provenance-bogus", "manifest-e1", "manifest-english", "manifest-2-columns",
         "manifest-4-columns", "config-without-equals", "config-pivot-english", "config-algo-xyz", "config-key-twice",
-        "config-key-twice-out-of-range", "config-transitive-depth-0", "config-max-below-min"])
+        "config-key-twice-out-of-range", "config-transitive-depth-0", "config-max-below-min", "utf8-dictionary",
+        "utf8-manifest", "utf8-config", "utf8-predictions", "utf8-crlf", "utf8-lone-cr", "utf8-bom"])
 def test_malformed_input_line_names_its_file_and_line(tmp_path, read, text, lineno):
     path = write(tmp_path, "input.tsv", text)
     with pytest.raises(MalformedLine) as exc:
@@ -252,6 +268,13 @@ def test_streamed_pairs_and_graph_equal_the_pair_list(tmp_path, seed):
     assert [list(streamed.adj(v)) for v in range(streamed.vertex_count)] == \
         [list(listed.adj(v)) for v in range(listed.vertex_count)]
     assert streamed.edge_count == listed.edge_count
+
+
+def test_entries_of_one_manifest_row_share_its_language_codes(tmp_path):
+    specs = _synth_specs(tmp_path, 1, 5, 0.6)
+    graph = build_graph(chain.from_iterable(read_dictionaries(specs)))
+    assert graph.vertex_count > 2 * len(specs)
+    assert len({id(v.lang) for v in graph.vertices}) <= 2 * len(specs)
 
 
 def test_read_dictionaries_yields_each_file_as_it_is_read(tmp_path):

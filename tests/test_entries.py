@@ -10,6 +10,7 @@ from lexinduce import (
     SynthParams,
     make_entry,
 )
+from lexinduce.entries import normalize_lang
 
 
 def test_normalization_trims_and_nfc():
@@ -17,6 +18,13 @@ def test_normalization_trims_and_nfc():
     e = make_entry("  café ", " FR ", "n")
     assert e.rep == "café"
     assert e.lang == "fr"
+
+
+def test_normalized_language_code_is_shared():
+    code = "fr"
+    assert normalize_lang(code) is code
+    assert normalize_lang(" FR ") == "fr"
+    assert make_entry("chien", code, "n").lang is code
 
 
 def test_case_preserved():

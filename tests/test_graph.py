@@ -98,7 +98,16 @@ def test_graph_matches_networkx(seed, n_langs, edge_prob):
     # every pair once more, half of them reversed, all in random order
     pairs += [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
     rng.shuffle(pairs)
-    g = build_graph(pairs)
+    # extra vertices: some already in the graph, some new; the pairs come as a one-shot iterator
+    new = [e(f"x{i}", rng.choice(langs)) for i in range(3)]
+    extra = new + rng.sample(sorted(G.nodes), min(3, len(G)))
+    rng.shuffle(extra)
+    G.add_nodes_from(extra)
+    g = build_graph(iter(pairs), iter(extra))
+    assert set(g.vertices) == set(G.nodes)
+    assert list(g.vertices[-len(new):]) == [v for v in extra if v in new]
+    for v in new:
+        assert list(g.adj(g.id_of(v))) == []
 
     edges = list(map(frozenset, g.edges()))
     assert len(edges) == g.edge_count == G.number_of_edges()
