@@ -36,33 +36,39 @@ def _data_lines(path):
     """Yield `(lineno, line)` for each data line of a UTF-8 text file.
 
     The file is read in one call and closed before the first line is
-    yielded. Universal newlines make CR and CRLF ends read as LF, and
-    `utf-8-sig` drops a leading byte order mark. A byte that is not
-    UTF-8 raises `MalformedLine` at its line.
+    yielded. Universal newlines make CR and CRLF ends read as LF, and a
+    leading byte order mark is dropped; a file that holds only part of
+    one is not UTF-8. A byte that is not UTF-8 raises `MalformedLine` at
+    its line, counted as the lines are: CR, LF and CRLF each end one.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise MissingFile(str(path)) from None
     except UnicodeDecodeError as exc:
-        raise _invalid_utf8(path, exc) from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+        before = exc.object[: exc.start]
+        lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise MalformedLine(path, lineno, f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         head = line.lstrip()
         if head and head[0] != "#":
             yield lineno, line
 
 
-def _invalid_utf8(path, exc: UnicodeDecodeError) -> MalformedLine:
-    """The `path:line` error for the first byte of `path` that is not UTF-8.
+def _rows(path, least: int, most: int | None = None):
+    """Yield `(lineno, fields)` for each data line of a TSV file.
 
-    `exc` comes from reading the whole file at once, so `exc.object` is
-    the file's bytes after any byte order mark. Lines are numbered as
-    `_data_lines` numbers them: CR, LF and CRLF each end a line.
+    A line must have `least` tab-separated fields, or between `least` and
+    `most`; any other count raises `MalformedLine` at its line.
     """
-    head = exc.object[: exc.start]
-    lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    return MalformedLine(path, lineno, f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x}")
+    most = most or least
+    for lineno, line in _data_lines(path):
+        cols = line.split("\t")
+        if not least <= len(cols) <= most:
+            span = least if most == least else f"{least}-{most}"
+            raise MalformedLine(path, lineno, f"expected {span} columns, got {len(cols)}")
+        yield lineno, cols
 
 
 def read_dictionaries(specs: Iterable[DictionarySpec]) -> Iterator[list[Pair]]:
@@ -80,11 +86,7 @@ def read_dictionaries(specs: Iterable[DictionarySpec]) -> Iterator[list[Pair]]:
     for spec in specs:
         lang_a, lang_b = spec.lang_a, spec.lang_b
         pairs: dict[Pair, None] = {}  # insertion-ordered, so one hash per pair dedupes it
-        for lineno, line in _data_lines(spec.path):
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise MalformedLine(spec.path, lineno, f"expected 4 columns, got {len(cols)}")
-            rep_a, pos_a, rep_b, pos_b = cols
+        for lineno, (rep_a, pos_a, rep_b, pos_b) in _rows(spec.path, 4):
             key_a, key_b = (lang_a, rep_a, pos_a), (lang_b, rep_b, pos_b)
             a, b = cached(key_a), cached(key_b)
             if a is None or b is None:
@@ -132,19 +134,17 @@ def parse_manifest(path) -> list[DictionarySpec]:
     """
     base = os.path.dirname(os.path.abspath(path))
     specs = []
-    for lineno, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise MalformedLine(path, lineno, f"expected 3 columns, got {len(cols)}")
+    for lineno, (lang_a, lang_b, dict_path) in _rows(path, 3):
         try:
-            lang_a, lang_b = lang_code(cols[0]), lang_code(cols[1])
+            lang_a, lang_b = lang_code(lang_a), lang_code(lang_b)
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from None
-        dict_path = cols[2]
         if lang_a == lang_b:
             raise MalformedLine(path, lineno, f"both languages are {lang_a!r}")
         if not dict_path:
             raise MalformedLine(path, lineno, "empty dictionary path")
+        if "\0" in dict_path:
+            raise MalformedLine(path, lineno, "NUL byte in the dictionary path")
         if not os.path.isabs(dict_path):
             dict_path = os.path.join(base, dict_path)
         specs.append(DictionarySpec(dict_path, lang_a, lang_b))
@@ -186,10 +186,7 @@ def read_predictions(path, lang_a: str, lang_b: str) -> list[tuple[LexicalEntry,
     must be a number in [0, 1], and a provenance one of `PROVENANCES`.
     """
     out = []
-    for lineno, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) not in (4, 5, 6):
-            raise MalformedLine(path, lineno, f"expected 4-6 columns, got {len(cols)}")
+    for lineno, cols in _rows(path, 4, 6):
         if len(cols) == 4:
             conf = 1.0
         else:

@@ -39,6 +39,8 @@ class SynthParams(
     ):
         if n_langs < 2:
             raise ValueError("need at least 2 languages")
+        if n_langs > 26 * 26:
+            raise ValueError(f"n_langs must be <= 676, the two-letter codes of lang_codes, got {n_langs}")
         if n_senses < 1:
             raise ValueError("need at least 1 sense")
         if words_per_sense_per_lang < 0:

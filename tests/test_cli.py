@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -42,6 +43,13 @@ def test_synth_edge_prob_zero_header_only(tmp_path):
     assert main(["synth", "--out-dir", str(d), "--langs", "2", "--senses", "5", "--edge-prob", "0", "--seed", "1"]) == 0
     lines = read(d / "dict_aa-ab.tsv").splitlines()
     assert lines == ["# rep_a\tpos_a\trep_b\tpos_b"]
+
+
+def test_synth_rejects_more_languages_than_two_letter_codes(tmp_path, capsys):
+    out = tmp_path / "many"
+    assert main(["synth", "--out-dir", str(out), "--langs", "700", "--senses", "1"]) == 2
+    assert "n_langs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_acd_roundtrip(synth_dir, tmp_path):
@@ -439,19 +447,68 @@ def test_generate_builds_no_whole_input_pair_list(tmp_path, monkeypatch, algo):
     assert hashlib.sha256(pred.read_bytes()).hexdigest() == GOLDEN_SHA256[algo]
 
 
-@pytest.mark.parametrize("algo_flags", [["--algo", "acd"], ["--algo", "otic", "--bcc-filter"]])
-def test_generate_independent_of_input_order(tmp_path, algo_flags):
+def _write_instance(d, rows, files, form=lambda text: text):
+    """Write a manifest of `rows` and the dictionaries `files` ({name: text}) under `d`.
+
+    Every file's text goes through `form`, and is written as UTF-8 bytes
+    with its line ends as they are. Returns the manifest's path.
+    """
+    d.mkdir()
+    for name, text in {"manifest.tsv": "".join("\t".join(r) + "\n" for r in rows), **files}.items():
+        (d / name).write_bytes(form(text).encode("utf-8"))
+    return d / "manifest.tsv"
+
+
+def _swapped(text):
+    """A dictionary's text with the two languages' columns swapped and its lines in reverse."""
+    out = []
+    for line in reversed(text.splitlines()):
+        cols = line.split("\t")
+        out.append(line if line.startswith("#") else "\t".join(cols[2:] + cols[:2]))
+    return "".join(line + "\n" for line in out)
+
+
+@pytest.mark.parametrize("algo_flags", [["--algo", "acd"], ["--algo", "otic", "--bcc-filter"], ["--algo", "otic"],
+                                        ["--algo", "cd"]])
+def test_generate_independent_of_input_order(tmp_path, monkeypatch, algo_flags):
+    """Each variant of one instance writes the same prediction bytes: manifest
+    rows and dictionary lines shuffled, CRLF ends and a leading BOM, upper-case
+    language codes, every line given twice and every dictionary listed again
+    under the swapped pair, a child process with another hash seed, and NFD
+    against NFC written forms."""
     inst = _bridged_instance(tmp_path)
-    outs = []
-    for seed, d in ((None, inst), (1, tmp_path / "s1"), (2, tmp_path / "s2")):
-        if seed is not None:
-            _shuffled_copy(inst, d, seed)
-        pred = tmp_path / f"pred_{seed}.tsv"
-        assert main(["generate", *algo_flags, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
-                     "--manifest", str(d / "manifest.tsv"), "--out", str(pred)]) == 0
-        outs.append(read(pred))
-    assert len(outs[0].splitlines()) > 1
-    assert outs[0] == outs[1] == outs[2]
+    rows = [row.split("\t") for row in read(inst / "manifest.tsv").splitlines()]
+    # every written form starts with an NFC `é`, so the NFD variant has something to decompose
+    files = {name: read(inst / name).replace("w", "\u00e9") for _, _, name in rows}
+    lower, upper = ("aa", "ab", "ac"), ("AA", "AB", "AC")
+    variants = {"base": (_write_instance(tmp_path / "base", rows, files), lower)}
+    for seed in (1, 2):
+        _shuffled_copy(tmp_path / "base", tmp_path / f"shuffled{seed}", seed)
+        variants[f"shuffled{seed}"] = (tmp_path / f"shuffled{seed}" / "manifest.tsv", lower)
+    variants["crlf-bom"] = (_write_instance(tmp_path / "crlf", rows, files,
+                                            lambda text: "\ufeff" + text.replace("\n", "\r\n")), lower)
+    variants["upper-case"] = (_write_instance(tmp_path / "upper", [[a.upper(), b.upper(), n] for a, b, n in rows],
+                                              files), upper)
+    # every line twice in its own file, and once more in a file listed under the swapped pair
+    twice = {**{n: t + t for n, t in files.items()}, **{"swapped_" + n: _swapped(t) for n, t in files.items()}}
+    variants["listed-twice"] = (_write_instance(tmp_path / "twice", rows + [[b, a, "swapped_" + n] for a, b, n in rows],
+                                                twice), lower)
+    variants["nfd"] = (_write_instance(tmp_path / "nfd", rows, files, lambda text: unicodedata.normalize("NFD", text)),
+                       lower)
+
+    def argv(name, out):
+        manifest, (src, tgt, pivot) = variants[name]
+        return ["generate", *algo_flags, "--src", src, "--tgt", tgt, "--pivot", pivot,
+                "--manifest", str(manifest), "--out", str(tmp_path / f"pred_{out}.tsv")]
+
+    for name in variants:
+        assert main(argv(name, name)) == 0
+    monkeypatch.setenv("PYTHONHASHSEED", "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+    code, _, err = _cli(*argv("base", "hash-seed"))
+    assert code == 0, err
+    outs = {name: (tmp_path / f"pred_{name}.tsv").read_bytes() for name in [*variants, "hash-seed"]}
+    assert len(outs["base"].splitlines()) > 1 and "\u00e9".encode() in outs["base"]
+    assert {name: out for name, out in outs.items() if out != outs["base"]} == {}
 
 
 def test_evaluate_manifest_report_matches_graph_vocabulary(tmp_path, capsys):

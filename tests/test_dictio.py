@@ -1,14 +1,18 @@
 import gc
+import re
 import sys
 import tracemalloc
 from itertools import chain
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lexinduce import (
     DictionarySpec,
     InvalidSpec,
     LexicalEntry,
+    LexinduceError,
     MalformedLine,
     MissingFile,
     build_graph,
@@ -231,16 +235,62 @@ def _read_dict(path):
     (_read_dict, b"chien\tn\tdog\tn\r\n# c\r\nchat\tn\tc\xfft\tn\r\n", 3),
     (_read_dict, b"chien\tn\tdog\tn\r# c\rchat\tn\tc\xfft\tn\r", 3),
     (_read_dict, b"\xef\xbb\xbfchien\tn\tdog\tn\n\nchat\tn\tc\xfft\tn\n", 3),
+    (_read_dict, b"\xef", 1),
+    (_read_dict, b"\xef\xbb", 1),
 ], ids=["3-columns", "7-columns", "confidence-abc", "confidence-nan", "confidence-inf", "confidence-below-0",
         "confidence-above-1", "empty-rep", "provenance-bogus", "manifest-e1", "manifest-english", "manifest-2-columns",
         "manifest-4-columns", "config-without-equals", "config-pivot-english", "config-algo-xyz", "config-key-twice",
         "config-key-twice-out-of-range", "config-transitive-depth-0", "config-max-below-min", "utf8-dictionary",
-        "utf8-manifest", "utf8-config", "utf8-predictions", "utf8-crlf", "utf8-lone-cr", "utf8-bom"])
+        "utf8-manifest", "utf8-config", "utf8-predictions", "utf8-crlf", "utf8-lone-cr", "utf8-bom",
+        "utf8-bom-first-byte", "utf8-bom-first-two-bytes"])
 def test_malformed_input_line_names_its_file_and_line(tmp_path, read, text, lineno):
     path = write(tmp_path, "input.tsv", text)
     with pytest.raises(MalformedLine) as exc:
         read(path)
     assert (exc.value.path, exc.value.lineno) == (path, lineno)
+
+
+def _read_manifest_dictionaries(path):
+    return parse_dictionaries(parse_manifest(path))
+
+
+# What fuzzed input files are made of: the bytes that end lines, split
+# fields, start comments, start a BOM or are not UTF-8, a decomposed `é`,
+# and words that the readers take as fields, keys or values.
+FUZZ_PIECES = [b"\t", b"\r", b"\n", b"\x00", b"#", b"=", b" ", b"\xef", b"\xbb", b"\xbf", b"\xff", b"e\xcc\x81",
+               b"fr", b"en", b"n", b"chien", b"0.5", b"cycle", b"d.tsv", b"algo", b"cd", b"min_len", b"7"]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(st.sampled_from(FUZZ_PIECES), max_size=16).map(b"".join))
+@example(data=b"\xef")
+@example(data=b"\xef\xbb")
+@example(data=b"fr\ten\td\x00.tsv")
+def test_fuzzed_input_reads_or_fails_at_its_line(tmp_path, data):
+    """Each reader takes a file in, or fails at one of its lines; bytes that
+    are not UTF-8 never read, and fail at the line of the first bad byte."""
+    write(tmp_path, "d.tsv", "chien\tn\tdog\tn\n")  # the dictionary a manifest row may name
+    path = write(tmp_path, "input.tsv", data)
+    try:
+        data.decode("utf-8")
+        bad_line = None
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        bad_line = head.count(b"\n") + 1
+    lines = len(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"))
+    for read in (_read_dict, _read_manifest_dictionaries, _read_pred, load_config):
+        try:
+            read(path)
+        except MissingFile:
+            assert read is _read_manifest_dictionaries and bad_line is None
+            continue
+        except LexinduceError as exc:
+            match = re.match(re.escape(path) + r":(\d+): ", str(exc))
+            assert match and 1 <= int(match[1]) <= lines, str(exc)
+            if bad_line is not None:
+                assert exc.lineno == bad_line and exc.reason.startswith("invalid UTF-8"), str(exc)
+            continue
+        assert bad_line is None, f"{read.__name__} took in {data!r}"
 
 
 def _synth_specs(tmp_path, seed, langs, edge_prob):

@@ -84,11 +84,12 @@ DOG, CHIEN = LexicalEntry("dog", "en", "n"), LexicalEntry("chien", "fr", "n")
     (DictionarySpec, ("d.tsv", "en", "fr"), ("d.tsv", "en", "en"), "identical languages"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, 1, 0.0, 1.5, 0), "probabilities must be in"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (1, 10, 1, 0.0, 1.0, 0), "at least 2 languages"),
+    (SynthParams, (676, 10, 1, 0.0, 1.0, 0), (677, 10, 1, 0.0, 1.0, 0), "n_langs must be <= 676"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 0, 1, 0.0, 1.0, 0), "at least 1 sense"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, -1, 0.0, 1.0, 0), "word count must be >= 0"),
 ], ids=["CycleConstraints", "CycleConstraints-depth", "InferenceParams", "InferenceParams-transitive-depth",
         "ScoredPair-provenance", "ScoredPair-languages", "ScoredPair-confidence", "DictionarySpec", "SynthParams",
-        "SynthParams-languages", "SynthParams-senses", "SynthParams-words"])
+        "SynthParams-languages", "SynthParams-too-many-languages", "SynthParams-senses", "SynthParams-words"])
 def test_every_record_construction_path_validates(how, cls, base, bad, reason):
     assert CONSTRUCTIONS[how](cls, base, base) == base
     with pytest.raises((ValueError, InvalidSpec), match=reason):
