@@ -21,9 +21,8 @@ ALGORITHMS = ("otic", "cd", "acd")
 _PROV_RANK = {prov: rank for rank, prov in enumerate(PROVENANCES)}
 
 
-class AcdConfig(namedtuple("AcdConfig", "params pivot threshold", defaults=(None,))):
-    """`params` (InferenceParams), `pivot` (a language code) and
-    `threshold`, which falls back to `params.threshold` when None."""
+class AcdConfig(namedtuple("AcdConfig", "params pivot")):
+    """`params` (InferenceParams) and `pivot` (a language code)."""
 
     __slots__ = ()
 
@@ -99,5 +98,4 @@ def predict(
 
 def acd_predict(g: TranslationGraph, source_lang: str, target_lang: str, cfg: AcdConfig) -> set[ScoredPair]:
     """Full augmented-cycle-density prediction set for one language pair."""
-    params = cfg.params if cfg.threshold is None else cfg.params._replace(threshold=cfg.threshold)
-    return predict(g, "acd", source_lang, target_lang, params, cfg.pivot)
+    return predict(g, "acd", source_lang, target_lang, cfg.params, cfg.pivot)

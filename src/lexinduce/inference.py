@@ -17,31 +17,31 @@ from .errors import NotACycle
 from .graph import TranslationGraph
 
 
-class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_len context_depth")):
-    """Cycle lengths in vertices, and the BFS radius the search walks.
+MAX_CYCLE_LEN = 64  # the search recurses once per path vertex
 
-    A cycle through the source with at most `max_len` vertices lies within
-    `max_len // 2` of it, so no output depends on the radius; left out, it
-    is the least one allowed, `(max_len + 1) // 2`. Each `ValueError`
-    names the fields it checks, so a config file's reader can blame the
-    line that set them.
+
+class CycleConstraints(Validated, namedtuple("CycleConstraints", "min_len max_len")):
+    """Cycle lengths in vertices, `3 <= min_len <= max_len <= MAX_CYCLE_LEN`.
+
+    Each `ValueError` names the fields it checks, so a config file's
+    reader can blame the line that set them.
     """
 
     __slots__ = ()
 
-    def __new__(cls, min_len: int = 4, max_len: int = 6, context_depth: int | None = None):
+    def __new__(cls, min_len: int = 4, max_len: int = 6):
         if min_len < 3:
             raise ValueError("min_len must be >= 3")
         if max_len < min_len:
             raise ValueError("max_len must be >= min_len")
-        if context_depth is None:
-            context_depth = (max_len + 1) // 2
-        if context_depth < 1:
-            raise ValueError("context_depth must be >= 1")
-        if max_len > 2 * context_depth:
-            # a cycle through the source cannot reach beyond half its length
-            raise ValueError("max_len must be <= 2 * context_depth")
-        return tuple.__new__(cls, (min_len, max_len, context_depth))
+        if max_len > MAX_CYCLE_LEN:
+            raise ValueError(f"max_len must be <= {MAX_CYCLE_LEN}")
+        return tuple.__new__(cls, (min_len, max_len))
+
+    @property
+    def context_depth(self) -> int:
+        """The search's BFS radius: a cycle's vertices lie within `max_len // 2` of its source."""
+        return (self.max_len + 1) // 2
 
 
 class InferenceParams(
@@ -103,8 +103,8 @@ def _ball(g: TranslationGraph, sid: int, depth: int) -> tuple[list[int], list[in
 
     The same scan wires the ball. A vertex shallower than `depth` gets
     all its neighbours, in `g.adj` order; a depth-layer vertex gets only
-    its shallower ones. That is exact: `CycleConstraints` keeps
-    `max_len <= 2 * depth`, so a cycle through the source holds at most
+    its shallower ones. That is exact: `depth` is `c.context_depth`, so
+    `max_len <= 2 * depth`, a cycle through the source holds at most
     one depth-layer vertex, its antipode, between two shallower ones, and
     no edge joining two depth-layer vertices is walked, closed or induced.
     Returns, per local id, the graph id, the BFS distance and the row.
@@ -221,7 +221,7 @@ def _cycles_holding(
 def enumerate_cycles(
     g: TranslationGraph, source: LexicalEntry, c: CycleConstraints
 ) -> set[tuple[LexicalEntry, ...]]:
-    """Simple cycles through `source` within the length and depth constraints.
+    """Simple cycles through `source` within the length constraints.
 
     Each cycle appears once, rotated to start at the source and oriented
     so the second vertex is the smaller of the source's two cycle
@@ -314,6 +314,8 @@ def transitive_predict(
         reached = {sid}
         frontier = [sid]
         for _ in range(depth):
+            if not frontier:
+                break
             nxt = []
             for u in frontier:
                 for w in g.adj(u):

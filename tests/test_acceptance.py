@@ -35,8 +35,8 @@ from oracles import (
     random_pivot_instance,
 )
 
-PARAMS = InferenceParams(constraints=CycleConstraints(4, 6, 3))
-REDUCTION_PARAMS = InferenceParams(constraints=CycleConstraints(4, 4, 2))
+PARAMS = InferenceParams(constraints=CycleConstraints(4, 6))
+REDUCTION_PARAMS = InferenceParams(constraints=CycleConstraints(4, 4))
 
 
 def ok(n, message):
@@ -96,7 +96,7 @@ def test_criterion_3_acd_reduces_to_otic():
             continue
         expected = otic_predict(table)
         for tau in (0.1, 0.5, 2 / 3):
-            cfg = AcdConfig(params=REDUCTION_PARAMS, pivot="cc", threshold=tau)
+            cfg = AcdConfig(params=REDUCTION_PARAMS._replace(threshold=tau), pivot="cc")
             got = {(sp.source, sp.target) for sp in acd_predict(g, "aa", "bb", cfg)}
             assert got == expected, f"instance {checked}, tau={tau}"
         checked += 1
@@ -149,7 +149,7 @@ def test_criterion_6_threshold_monotonicity():
     prev = None
     counts = []
     for tau in [i / 10 for i in range(11)]:
-        cfg = AcdConfig(params=PARAMS, pivot=pivot, threshold=tau)
+        cfg = AcdConfig(params=PARAMS._replace(threshold=tau), pivot=pivot)
         cur = acd_predict(inst.graph, la, lb, cfg)
         counts.append(len(cur))
         if prev is not None:

@@ -30,7 +30,7 @@ def e(rep, lang, pos="n"):
     return LexicalEntry(rep, lang, pos)
 
 
-REDUCTION_PARAMS = InferenceParams(constraints=CycleConstraints(4, 4, 2))
+REDUCTION_PARAMS = InferenceParams(constraints=CycleConstraints(4, 4))
 
 
 def sp(conf, prov="cycle", tgt="b"):
@@ -76,14 +76,14 @@ def acd_fixture(extra_pairs=(), threshold=0.6):
     c1, c2 = e("c1", "cc"), e("c2", "cc")
     pairs = [(a, c1), (c1, b), (b, c2), (c2, a), *extra_pairs]
     g = build_graph(pairs)
-    cfg = AcdConfig(params=InferenceParams(constraints=CycleConstraints(4, 4, 2)), pivot="cc", threshold=threshold)
+    cfg = AcdConfig(params=InferenceParams(constraints=CycleConstraints(4, 4), threshold=threshold), pivot="cc")
     return g, cfg, a, b
 
 
 def test_type_b_only_pair_survives_any_threshold():
     a, c1, b = e("a", "aa"), e("c1", "cc"), e("b", "bb")
     g = build_graph([(a, c1), (c1, b)])
-    cfg = AcdConfig(params=REDUCTION_PARAMS, pivot="cc", threshold=1.0)
+    cfg = AcdConfig(params=REDUCTION_PARAMS._replace(threshold=1.0), pivot="cc")
     assert acd_predict(g, "aa", "bb", cfg) == {ScoredPair(a, b, 1.0, "type_b")}
 
 
@@ -117,7 +117,7 @@ def test_threshold_monotone_nesting():
     g = random_pivot_instance(rng, n_a=10, n_c=8, n_b=10, edge_prob=0.3)
     prev = None
     for tau in [i / 10 for i in range(11)]:
-        cfg = AcdConfig(params=REDUCTION_PARAMS, pivot="cc", threshold=tau)
+        cfg = AcdConfig(params=REDUCTION_PARAMS._replace(threshold=tau), pivot="cc")
         cur = acd_predict(g, "aa", "bb", cfg)
         if prev is not None:
             assert cur <= prev
@@ -133,7 +133,7 @@ def test_reduces_to_otic_with_single_pivot(tau):
             table = build_pivot_table(g, "aa", "cc", "bb")
         except MissingPivotDictionaries:
             continue
-        cfg = AcdConfig(params=REDUCTION_PARAMS, pivot="cc", threshold=tau)
+        cfg = AcdConfig(params=REDUCTION_PARAMS._replace(threshold=tau), pivot="cc")
         got = {(sp.source, sp.target) for sp in acd_predict(g, "aa", "bb", cfg)}
         assert got == otic_predict(table)
 
@@ -186,5 +186,4 @@ def test_acd_predict_cuts_at_the_config_threshold_over_the_params_one():
     params = InferenceParams(threshold=0.9)
     at = {tau: predict(g, "acd", "aa", "ab", params._replace(threshold=tau), pivot="ac") for tau in (0.0, 0.9)}
     assert at[0.0] > at[0.9]  # the cut matters here
-    assert acd_predict(g, "aa", "ab", AcdConfig(params, "ac", threshold=0.0)) == at[0.0]
-    assert acd_predict(g, "aa", "ab", AcdConfig(params, "ac")) == at[0.9]  # None falls back to params
+    assert acd_predict(g, "aa", "ab", AcdConfig(params._replace(threshold=0.0), "ac")) == at[0.0]

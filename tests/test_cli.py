@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -6,9 +8,12 @@ import sys
 import unicodedata
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lexinduce
-from lexinduce.cli import load_config, main
+from lexinduce.cli import SETTINGS, load_config, main
+from lexinduce.inference import MAX_CYCLE_LEN
 
 
 def run(capsys, *argv):
@@ -183,11 +188,75 @@ def test_max_len_alone_sets_the_context_depth(tmp_path, max_len):
     cli, lib = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
     assert main(["generate", "--algo", "cd", "--src", "aa", "--tgt", "ab", "--max-len", str(max_len),
                  "--threshold", "0", "--manifest", manifest, "--out", str(cli)]) == 0
-    params = InferenceParams(constraints=CycleConstraints(4, max_len, 4), threshold=0.0)
+    params = InferenceParams(constraints=CycleConstraints(4, max_len), threshold=0.0)
     g = build_graph(parse_dictionaries(parse_manifest(manifest)))
     lexinduce.write_predictions(str(lib), predict(g, "cd", "aa", "ab", params))
     assert len(read(cli).splitlines()) > 1
     assert read(cli) == read(lib)
+
+
+def _ring_rows(n):
+    """A dictionary whose `n` words, alternating `aa` and `ab`, form one ring."""
+    return "".join(f"w{i}\tn\tw{i + 1}\tn\n" if i % 2 == 0 else f"w{(i + 1) % n}\tn\tw{i}\tn\n" for i in range(n))
+
+
+# The CD search recurses once per path vertex, so a cycle this long would
+# overflow the stack even under hypothesis, which lifts the interpreter's
+# recursion limit by 2,000 frames.
+RING_WORDS = 2_600
+
+
+@pytest.fixture(scope="module")
+def ring(tmp_path_factory):
+    """A ring of `RING_WORDS` words, and a pivot word `p` (`ac`) beside two of them: a manifest path."""
+    return _write_instance(tmp_path_factory.mktemp("ring") / "inst",
+                           [("aa", "ab", "ring.tsv"), ("aa", "ac", "ac.tsv"), ("ac", "ab", "ca.tsv")],
+                           {"ring.tsv": _ring_rows(RING_WORDS), "ac.tsv": "w0\tn\tp\tn\n", "ca.tsv": "p\tn\tw3\tn\n"})
+
+
+def _ring_generate(ring, out, *argv):
+    return main(["generate", "--src", "aa", "--tgt", "ab", "--manifest", str(ring), "--out", str(out), *argv])
+
+
+@pytest.mark.parametrize("max_len", [MAX_CYCLE_LEN + 1, RING_WORDS])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_max_len_above_the_cap_is_an_input_error(ring, tmp_path, capsys, how, max_len):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"max_len={max_len}\n", encoding="utf-8")
+    out = tmp_path / "p.tsv"
+    setting = ["--max-len", str(max_len)] if how == "flag" else ["--config", str(cfg)]
+    assert _ring_generate(ring, out, "--algo", "cd", *setting) == 2
+    err = capsys.readouterr().err
+    assert f"max_len must be <= {MAX_CYCLE_LEN}" in err and not out.exists()
+    assert (f"{cfg}:1:" in err) == (how == "config")
+
+
+def test_max_len_at_the_cap_runs(ring, tmp_path):
+    out = tmp_path / "p.tsv"
+    assert _ring_generate(ring, out, "--algo", "cd", "--max-len", str(MAX_CYCLE_LEN)) == 0
+    assert out.exists()
+
+
+# Numbers at and around each range's ends, text that parses as no number,
+# and the one algorithm and pivot that the ring instance can run.
+CONFIG_VALUES = ["-1", "0", "3", "6", "8", str(MAX_CYCLE_LEN), str(MAX_CYCLE_LEN + 1), "100000000", "nan", "1.5",
+                 "x y", "cd", "ac"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(sorted(SETTINGS)), st.sampled_from(CONFIG_VALUES)), max_size=3),
+       flags=st.sampled_from([[], ["--algo", "cd"], ["--pivot", "ac"]]))
+@example(lines=[("algo", "cd"), ("max_len", str(RING_WORDS))], flags=[])
+def test_no_config_exits_internal(ring, lines, flags):
+    cfg = ring.parent / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in lines), encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _ring_generate(ring, ring.parent / "p.tsv", "--config", str(cfg), *flags)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        # A pivot such as `cd` is a well-formed code that the instance lacks: the graph rejects it.
+        pivot = dict(lines).get("pivot")
+        assert f"{cfg}:" in err.getvalue() or f"UnknownLanguage: {pivot}\n" in err.getvalue(), err.getvalue()
 
 
 def test_bcc_filter_flag(tmp_path, capsys):

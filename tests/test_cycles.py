@@ -15,6 +15,7 @@ from lexinduce import (
     cycle_density,
     enumerate_cycles,
 )
+from lexinduce.inference import MAX_CYCLE_LEN
 from oracles import cycle_key, oracle_cycles, random_multipartite_graph, to_nx
 
 
@@ -64,7 +65,7 @@ def test_density_rejects_non_cycles():
 def test_triangle_enumerated_once():
     a, b, c = e("a", "aa"), e("b", "bb"), e("c", "cc")
     g = build_graph([(a, b), (b, c), (c, a)])
-    cycles = enumerate_cycles(g, a, CycleConstraints(3, 3, 2))
+    cycles = enumerate_cycles(g, a, CycleConstraints(3, 3))
     assert len(cycles) == 1
     (cyc,) = cycles
     assert cyc[0] == a and set(cyc) == {a, b, c}
@@ -72,12 +73,12 @@ def test_triangle_enumerated_once():
 
 def test_min_len_filters_out_short_cycles():
     g, (a, *_rest) = square()
-    assert enumerate_cycles(g, a, CycleConstraints(5, 6, 3)) == set()
+    assert enumerate_cycles(g, a, CycleConstraints(5, 6)) == set()
 
 
 def test_canonical_forms_start_at_source():
     g, (a, c1, b, c2) = square()
-    cycles = enumerate_cycles(g, a, CycleConstraints(4, 4, 2))
+    cycles = enumerate_cycles(g, a, CycleConstraints(4, 4))
     assert len(cycles) == 1
     (cyc,) = cycles
     assert cyc[0] == a and cycle_key(cyc) == cycle_key((a, c1, b, c2))
@@ -105,36 +106,32 @@ def _verify_cycle(g, cyc, c):
     seed=st.integers(0, 10**6),
     min_len=st.integers(3, 5),
     extra=st.integers(0, 2),
-    depth=st.integers(2, 4),
 )
-def test_enumeration_matches_bruteforce(seed, min_len, extra, depth):
-    max_len = min(min_len + extra, 2 * depth)
-    if max_len < min_len:
-        return
+def test_enumeration_matches_bruteforce(seed, min_len, extra):
+    max_len = min_len + extra
     rng = random.Random(seed)
     g = random_multipartite_graph(rng, rng.randrange(3, 6), 12, 0.35)
-    c = CycleConstraints(min_len, max_len, depth)
+    c = CycleConstraints(min_len, max_len)
     for src in g.vertices:
         ours = enumerate_cycles(g, src, c)
         for cyc in ours:
             assert cyc[0] == src
             assert g.id_of(cyc[1]) < g.id_of(cyc[-1])  # the documented orientation
             _verify_cycle(g, cyc, c)
-        assert {cycle_key(cyc) for cyc in ours} == oracle_cycles(g, src, min_len, max_len, depth)
+        assert {cycle_key(cyc) for cyc in ours} == oracle_cycles(g, src, min_len, max_len, c.context_depth)
 
 
 def test_constraints_validation():
     with pytest.raises(ValueError):
-        CycleConstraints(2, 4, 3)
+        CycleConstraints(2, 4)
     with pytest.raises(ValueError):
-        CycleConstraints(4, 3, 3)
-    with pytest.raises(ValueError):
-        CycleConstraints(4, 8, 3)  # max_len > 2 * context_depth
+        CycleConstraints(4, 3)
+    with pytest.raises(ValueError, match="max_len"):
+        CycleConstraints(4, MAX_CYCLE_LEN + 1)
 
 
 def test_context_depth_defaults_to_the_least_radius_allowed():
-    assert CycleConstraints() == (4, 6, 3)
-    assert CycleConstraints(4, 8) == (4, 8, 4)
-    assert CycleConstraints(3, 7) == (3, 7, 4)
-    assert CycleConstraints(3, 3) == (3, 3, 2)
-    assert CycleConstraints(4, 6, 5) == (4, 6, 5)
+    assert CycleConstraints() == (4, 6)
+    for hi in range(3, MAX_CYCLE_LEN + 1):
+        for lo in range(3, hi + 1):
+            assert CycleConstraints(lo, hi).context_depth == (hi + 1) // 2

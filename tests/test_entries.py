@@ -1,6 +1,7 @@
 import pytest
 
 from lexinduce import (
+    AcdConfig,
     CycleConstraints,
     DictionarySpec,
     InferenceParams,
@@ -72,8 +73,8 @@ DOG, CHIEN = LexicalEntry("dog", "en", "n"), LexicalEntry("chien", "fr", "n")
 
 @pytest.mark.parametrize("how", CONSTRUCTIONS)
 @pytest.mark.parametrize("cls, base, bad, reason", [
-    (CycleConstraints, (4, 6, 3), (4, 7, 3), "max_len must be <= 2 \\* context_depth"),
-    (CycleConstraints, (4, 6, 3), (3, 3, 0), "context_depth must be >= 1"),
+    (CycleConstraints, (4, 64), (4, 65), "max_len must be <= 64"),
+    (CycleConstraints, (4, 6), (4, 3), "max_len must be >= min_len"),
     (InferenceParams, (CycleConstraints(), 0.6, frozenset({"np"}), 4), (CycleConstraints(), 1.5, frozenset(), 4),
      "threshold must be in"),
     (InferenceParams, (CycleConstraints(), 0.6, frozenset({"np"}), 4), (CycleConstraints(), 0.6, frozenset(), 0),
@@ -87,13 +88,22 @@ DOG, CHIEN = LexicalEntry("dog", "en", "n"), LexicalEntry("chien", "fr", "n")
     (SynthParams, (676, 10, 1, 0.0, 1.0, 0), (677, 10, 1, 0.0, 1.0, 0), "n_langs must be <= 676"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 0, 1, 0.0, 1.0, 0), "at least 1 sense"),
     (SynthParams, (3, 10, 1, 0.0, 1.0, 0), (3, 10, -1, 0.0, 1.0, 0), "word count must be >= 0"),
-], ids=["CycleConstraints", "CycleConstraints-depth", "InferenceParams", "InferenceParams-transitive-depth",
+], ids=["CycleConstraints", "CycleConstraints-order", "InferenceParams", "InferenceParams-transitive-depth",
         "ScoredPair-provenance", "ScoredPair-languages", "ScoredPair-confidence", "DictionarySpec", "SynthParams",
         "SynthParams-languages", "SynthParams-too-many-languages", "SynthParams-senses", "SynthParams-words"])
 def test_every_record_construction_path_validates(how, cls, base, bad, reason):
     assert CONSTRUCTIONS[how](cls, base, base) == base
     with pytest.raises((ValueError, InvalidSpec), match=reason):
         CONSTRUCTIONS[how](cls, base, bad)
+
+
+def test_retired_fields_are_rejected():
+    with pytest.raises(TypeError):
+        CycleConstraints(4, 6, 3)
+    with pytest.raises(ValueError):
+        CycleConstraints(4, 6)._replace(context_depth=3)
+    with pytest.raises(TypeError):
+        AcdConfig(InferenceParams(), "cc", threshold=0.5)
 
 
 def test_scored_pairs_sort_by_source_target_confidence_provenance():

@@ -7,7 +7,7 @@ from lexinduce import (
     generate,
 )
 
-PARAMS = InferenceParams(constraints=CycleConstraints(4, 6, 3))
+PARAMS = InferenceParams(constraints=CycleConstraints(4, 6))
 
 
 def test_deterministic_per_seed():
