@@ -205,14 +205,14 @@ def cmd_generate(args) -> int:
 
             specs = largest_biconnected_language_component(specs)
             _info(f"bcc filter kept {len(specs)} dictionaries")
-        # OTIC reads only the (src, pivot) and (pivot, tgt) dictionaries, and
-        # every edge joins the two languages of its row, so no other row can
-        # reach its output. A language is known if a row names it.
-        if algo == "otic":
-            named = {lang for spec in specs for lang in (spec.lang_a, spec.lang_b)}
-            for lang in (args.src, args.tgt, pivot):
-                if lang not in named:
-                    raise UnknownLanguage(lang)
+        # Every edge joins the two languages of its row, so a language that no
+        # kept row names has no word in the graph, and fails before any file
+        # is read. OTIC reads only the (src, pivot) and (pivot, tgt) rows, as
+        # no other row can reach its output.
+        named = {lang for spec in specs for lang in (spec.lang_a, spec.lang_b)}
+        for lang in (args.src, args.tgt) if algo == "cd" else (args.src, args.tgt, pivot):
+            if lang not in named:
+                raise UnknownLanguage(lang)
         pivot_pairs = ({args.src, pivot}, {pivot, args.tgt})
         chosen = _select(specs, lambda spec: algo != "otic" or {spec.lang_a, spec.lang_b} in pivot_pairs)
         # The graph takes each file's pairs as that file is read, so the

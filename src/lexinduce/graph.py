@@ -96,18 +96,6 @@ class TranslationGraph:
                 if u < v:
                     yield (self._entries[u], self._entries[v])
 
-    def edges_between(self, lang_a: str, lang_b: str) -> tuple[Pair, ...]:
-        """All edges joining the two languages, endpoints ordered (lang_a, lang_b)."""
-        entries = self._entries
-        out = []
-        for iu in self._lang_ids.get(lang_a, ()):
-            u = entries[iu]
-            for iv in self._adj[iu]:
-                v = entries[iv]
-                if v.lang == lang_b:
-                    out.append((u, v))
-        return tuple(out)
-
     def has_edge(self, u: LexicalEntry, v: LexicalEntry) -> bool:
         iu, iv = self._ids.get(u), self._ids.get(v)
         if iu is None or iv is None:

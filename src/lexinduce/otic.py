@@ -6,7 +6,7 @@ the only transitive image of a in the target language (Type B).
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 
 from .entries import LexicalEntry
@@ -26,23 +26,29 @@ class PivotTable(namedtuple("PivotTable", "forward onward")):
 def build_pivot_table(
     g: TranslationGraph, source_lang: str, pivot_lang: str, target_lang: str
 ) -> PivotTable:
-    """Materialize the two pivot dictionaries out of the translation graph."""
-    ac = g.edges_between(source_lang, pivot_lang)
-    cb = g.edges_between(pivot_lang, target_lang)
-    if not ac or not cb:
+    """Read the two pivot dictionaries off the graph's adjacency rows."""
+    forward = _translations(g, source_lang, pivot_lang)
+    onward = _translations(g, pivot_lang, target_lang)
+    if not forward or not onward:
         raise MissingPivotDictionaries(
             f"need non-empty ({source_lang},{pivot_lang}) and ({pivot_lang},{target_lang}) pair sets"
         )
-    forward: dict[LexicalEntry, set[LexicalEntry]] = defaultdict(set)
-    onward: dict[LexicalEntry, set[LexicalEntry]] = defaultdict(set)
-    for a, c in ac:
-        forward[a].add(c)
-    for c, b in cb:
-        onward[c].add(b)
-    return PivotTable(
-        {a: frozenset(cs) for a, cs in forward.items()},
-        {c: frozenset(bs) for c, bs in onward.items()},
-    )
+    return PivotTable(forward, onward)
+
+
+def _translations(g: TranslationGraph, lang: str, other: str) -> dict[LexicalEntry, frozenset[LexicalEntry]]:
+    """Each `lang` entry joined to some `other` entry, mapped to all such
+    entries; a language that `g` does not hold has none."""
+    if lang not in g.languages or other not in g.languages:
+        return {}
+    others = set(g.ids_of_lang(other))
+    found: dict[int, list[int]] = {}
+    for vid in g.ids_of_lang(lang):
+        for w in g.adj(vid):
+            if w in others:
+                found.setdefault(vid, []).append(w)
+    entry_of = g.entry_of
+    return {entry_of(u): frozenset(map(entry_of, ws)) for u, ws in found.items()}
 
 
 def _images(t: PivotTable) -> Iterator[tuple[LexicalEntry, Counter[LexicalEntry]]]:

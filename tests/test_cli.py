@@ -254,7 +254,7 @@ def test_no_config_exits_internal(ring, lines, flags):
         code = _ring_generate(ring, ring.parent / "p.tsv", "--config", str(cfg), *flags)
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
-        # A pivot such as `cd` is a well-formed code that the instance lacks: the graph rejects it.
+        # A pivot such as `cd` is a well-formed code that no manifest row names.
         pivot = dict(lines).get("pivot")
         assert f"{cfg}:" in err.getvalue() or f"UnknownLanguage: {pivot}\n" in err.getvalue(), err.getvalue()
 
@@ -580,6 +580,100 @@ def test_generate_independent_of_input_order(tmp_path, monkeypatch, algo_flags):
     assert {name: out for name, out in outs.items() if out != outs["base"]} == {}
 
 
+def _quiet_main(*argv):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+ORDER_ALGOS = (["--algo", "otic"], ["--algo", "cd"], ["--algo", "acd"], ["--algo", "acd", "--bcc-filter"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(langs=st.integers(3, 5), senses=st.integers(1, 60), polysemy=st.floats(0, 0.5),
+       edge_prob=st.floats(0.05, 1), seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**16))
+def test_generate_independent_of_input_order_on_random_instances(tmp_path_factory, langs, senses, polysemy,
+                                                                  edge_prob, seed, order_seed):
+    """On a random synth instance, every algorithm writes the same bytes (or
+    fails the same way) with the manifest rows shuffled, with each
+    dictionary's lines shuffled, and with one dictionary's columns swapped
+    under the swapped manifest row."""
+    root = tmp_path_factory.mktemp("order")
+    assert _quiet_main("synth", "--out-dir", str(root / "base"), "--langs", str(langs), "--senses", str(senses),
+                       "--polysemy", str(polysemy), "--edge-prob", str(edge_prob), "--seed", str(seed))[0] == 0
+    rows = [row.split("\t") for row in read(root / "base" / "manifest.tsv").splitlines()]
+    files = {name: read(root / "base" / name) for _, _, name in rows}
+    rng = random.Random(order_seed)
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    i = rng.randrange(len(rows))
+    a, b, name = rows[i]
+    manifests = {
+        "base": root / "base" / "manifest.tsv",
+        "rows-shuffled": _write_instance(root / "rows", shuffled(rows), files),
+        "lines-shuffled": _write_instance(root / "lines", rows, {n: "".join(line + "\n" for line in
+                                                                            shuffled(t.splitlines()))
+                                                                 for n, t in files.items()}),
+        "one-swapped": _write_instance(root / "swapped", [*rows[:i], [b, a, name], *rows[i + 1:]],
+                                       {**files, name: _swapped(files[name])}),
+    }
+    for flags in ORDER_ALGOS:
+        outs = {}
+        for variant, manifest in manifests.items():
+            out = root / f"{variant}.tsv"
+            out.unlink(missing_ok=True)
+            code, _ = _quiet_main("generate", *flags, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                                  "--manifest", str(manifest), "--out", str(out))
+            outs[variant] = (code, out.read_bytes() if code == 0 else None)
+        assert {v: out for v, out in outs.items() if out != outs["base"]} == {}, flags
+
+
+# What a fuzzed dictionary or manifest row is made of: the bytes that end
+# lines, split fields, start comments, start a BOM or are not UTF-8, and the
+# words, lines and file names of the instance below.
+MAIN_FUZZ_PIECES = [b"\t", b"\r", b"\n", b"\x00", b"#", b" ", b"\xef", b"\xbb", b"\xbf", b"\xff", b"n", b"a1", b"c1",
+                    b"aa", b"ab", b"ac", b"a1\tn\tc1\tn\n", b"a2\tn\tc2\tn\n", b"ab\tac\tdict_ab-ac.tsv",
+                    b"fuzz.tsv"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A 3-language instance whose `aa-ac` dictionary, `fuzz.tsv`, and third manifest row are drawn."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "dict_aa-ab.tsv").write_bytes(b"a1\tn\tb1\tn\na2\tn\tb2\tn\n")
+    (d / "dict_ab-ac.tsv").write_bytes(b"b1\tn\tc1\tn\nb2\tn\tc2\tn\n")
+    return d
+
+
+def _line_count(data):
+    return len(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dictionary=st.lists(st.sampled_from(MAIN_FUZZ_PIECES), max_size=12).map(b"".join),
+       row=st.lists(st.sampled_from(MAIN_FUZZ_PIECES), max_size=6).map(b"".join),
+       algo=st.sampled_from(["otic", "cd", "acd"]))
+@example(dictionary=b"a1\tn\tc1\tn\na2\tn\tc2\tn\n", row=b"ab\tac\tdict_ab-ac.tsv", algo="acd")
+def test_generate_on_fuzzed_input_bytes_never_exits_internal(fuzz_dir, dictionary, row, algo):
+    """`generate` takes a drawn dictionary and manifest row in, or fails with
+    an input error; a malformed line fails at its file and line."""
+    manifest = fuzz_dir / "manifest.tsv"
+    files = {manifest: b"aa\tab\tdict_aa-ab.tsv\naa\tac\tfuzz.tsv\n" + row, fuzz_dir / "fuzz.tsv": dictionary}
+    for path, data in files.items():
+        path.write_bytes(data)
+    code, err = _quiet_main("generate", "--algo", algo, "--src", "aa", "--tgt", "ab", "--pivot", "ac",
+                            "--manifest", str(manifest), "--out", str(fuzz_dir / "p.tsv"))
+    assert code in (0, 1, 2), err
+    if "MalformedLine" in err:
+        named = {str(path): _line_count(data) for path, data in files.items()}
+        path, lineno = err.split("MalformedLine: ", 1)[1].split(":")[:2]
+        assert path in named and 1 <= int(lineno) <= named[path], err
+
+
 def test_evaluate_manifest_report_matches_graph_vocabulary(tmp_path, capsys):
     from lexinduce import (
         DictionarySpec, build_graph, evaluate, parse_dictionaries, parse_dictionary, parse_manifest, read_predictions,
@@ -687,18 +781,35 @@ def test_otic_without_a_pivot_dictionary_is_missing_pivot(tmp_path, damage):
 
 
 @pytest.mark.parametrize("flags, error", [
-    (["--src", "zz", "--tgt", "ab", "--pivot", "ac"], b"UnknownLanguage: zz"),
+    (["--algo", "otic", "--src", "zz", "--tgt", "ab", "--pivot", "ac"], b"UnknownLanguage: zz"),
     # `ae` is named only by the bridge row, which the filter drops
-    (["--src", "aa", "--tgt", "ab", "--pivot", "ae", "--bcc-filter"], b"UnknownLanguage: ae"),
+    (["--algo", "otic", "--src", "aa", "--tgt", "ab", "--pivot", "ae", "--bcc-filter"], b"UnknownLanguage: ae"),
     # without the filter the bridge row names `ae`, but no pivot dictionary joins it to `aa` or `ab`
-    (["--src", "aa", "--tgt", "ab", "--pivot", "ae"], b"MissingPivotDictionaries"),
+    (["--algo", "otic", "--src", "aa", "--tgt", "ab", "--pivot", "ae"], b"MissingPivotDictionaries"),
+    *[(["--algo", algo, "--src", "aa", "--tgt", "zz", "--pivot", "ac"], b"UnknownLanguage: zz")
+      for algo in ("otic", "cd", "acd")],
+    (["--algo", "cd", "--src", "zz", "--tgt", "ab"], b"UnknownLanguage: zz"),
+    (["--algo", "acd", "--src", "zz", "--tgt", "ab", "--pivot", "ac"], b"UnknownLanguage: zz"),
+    (["--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ae", "--bcc-filter"], b"UnknownLanguage: ae"),
+    (["--algo", "acd", "--src", "aa", "--tgt", "ab", "--pivot", "ae"], b"MissingPivotDictionaries"),
+    # CD uses no pivot, so its `--pivot` is not checked
+    (["--algo", "cd", "--src", "aa", "--tgt", "ab", "--pivot", "ae", "--bcc-filter"], None),
 ])
 def test_otic_language_is_known_from_the_kept_rows(tmp_path, flags, error):
+    """Every algorithm knows a language from the kept manifest rows alone,
+    so an unknown one fails before any dictionary is opened: a byte that is
+    not UTF-8 in the unrelated `ad-ae` dictionary is never reached."""
     inst = _bridged_instance(tmp_path)
-    code, _, err = _cli("generate", "--algo", "otic", *flags, "--manifest", str(inst / "manifest.tsv"),
-                        "--out", str(tmp_path / "p.tsv"))
-    assert code == 2
-    assert error in err
+    unknown = error is not None and error.startswith(b"UnknownLanguage")
+    if unknown:
+        with open(inst / "dict_ad-ae.tsv", "ab") as fh:
+            fh.write(b"x\xff\tn\ty\tn\n")
+    code, _, err = _cli("generate", *flags, "--manifest", str(inst / "manifest.tsv"), "--out", str(tmp_path / "p.tsv"))
+    assert code == (0 if error is None else 2), err
+    assert error is None or error in err
+    if unknown:
+        kept = [b"INFO bcc filter kept 6 dictionaries"] if "--bcc-filter" in flags else []
+        assert [line for line in err.splitlines() if line.startswith(b"INFO")] == kept
 
 
 def _damaged_run(tmp_path, command):

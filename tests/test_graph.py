@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from lexinduce import (
     IntraLanguagePair,
     LexicalEntry,
+    MissingPivotDictionaries,
+    PivotTable,
     build_graph,
+    build_pivot_table,
     lang_codes,
 )
 from lexinduce.inference import _ball
@@ -48,9 +51,10 @@ def test_indexes_consistent():
     g = build_graph([(e("a", "aa"), e("c", "cc")), (e("c", "cc"), e("b", "bb"))])
     assert set(g.languages) == {"aa", "bb", "cc"}
     assert g.entries_of_lang("cc") == (e("c", "cc"),)
-    assert g.edges_between("aa", "cc") == ((e("a", "aa"), e("c", "cc")),)
+    a, b, c = e("a", "aa"), e("b", "bb"), e("c", "cc")
+    assert build_pivot_table(g, "aa", "cc", "bb") == PivotTable({a: {c}}, {c: {b}})
     # orientation follows the requested language order
-    assert g.edges_between("cc", "aa") == ((e("c", "cc"), e("a", "aa")),)
+    assert build_pivot_table(g, "bb", "cc", "aa") == PivotTable({b: {c}}, {c: {a}})
 
 
 def test_edge_roundtrip():
@@ -114,10 +118,18 @@ def test_graph_matches_networkx(seed, n_langs, edge_prob):
     assert set(edges) == set(map(frozenset, G.edges()))
     for u, v in itertools.product(g.vertices, repeat=2):
         assert g.has_edge(u, v) == G.has_edge(u, v)
-    oriented = [p for u, v in G.edges() for p in ((u, v), (v, u))]
-    for la, lb in itertools.product(langs, repeat=2):
-        got = g.edges_between(la, lb)
-        assert len(got) == len(set(got))
-        assert set(got) == {(u, v) for u, v in oriented if u.lang == la and v.lang == lb}
+
+    def translations(la, lb):
+        found = {u: {v for v in G[u] if v.lang == lb} for u in G if u.lang == la}
+        return {u: vs for u, vs in found.items() if vs}
+
+    # `zz` is a language that the graph does not hold
+    for la, lc, lb in itertools.permutations([*langs, "zz"], 3):
+        forward, onward = translations(la, lc), translations(lc, lb)
+        if forward and onward:
+            assert build_pivot_table(g, la, lc, lb) == PivotTable(forward, onward)
+        else:
+            with pytest.raises(MissingPivotDictionaries):
+                build_pivot_table(g, la, lc, lb)
     for vid in range(g.vertex_count):
         assert list(g.adj(vid)) == sorted(set(g.adj(vid)))

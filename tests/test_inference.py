@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import random
 from unittest import mock
@@ -10,10 +11,12 @@ from lexinduce import (
     CycleConstraints,
     InferenceParams,
     LexicalEntry,
+    MissingPivotDictionaries,
     ScoredPair,
     SynthParams,
     UnknownLanguage,
     build_graph,
+    build_pivot_table,
     cd_predict,
     enumerate_cycles,
     generate,
@@ -88,6 +91,15 @@ def test_matches_bruteforce_across_constraints(seed, min_len, extra):
     assert got == oracle_cd(g, src, tgt, params)
 
 
+def _first_pivot(g, src, tgt, langs):
+    """The first of `langs` whose pivot dictionaries with `src` and `tgt` both hold an edge."""
+    for lang in langs:
+        with contextlib.suppress(MissingPivotDictionaries):
+            build_pivot_table(g, src, lang, tgt)
+            return lang
+    return None
+
+
 @pytest.mark.parametrize("min_len, max_len", [(lo, hi) for lo in range(3, 7) for hi in range(lo, 7)])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
@@ -100,9 +112,8 @@ def test_no_output_depends_on_the_context_depth(min_len, max_len, seed):
     g = random_multipartite_graph(rng, rng.randrange(3, 6), rng.randrange(10, 16), 0.35, pos_tags=("n", "v", "np"))
     assume(len(g.languages) >= 3)
     src, tgt, *others = g.languages
-    pivots = [lang for lang in others if g.edges_between(src, lang) and g.edges_between(lang, tgt)]
-    assume(pivots)  # ACD needs both pivot dictionaries
-    pivot = pivots[0]
+    pivot = _first_pivot(g, src, tgt, others)
+    assume(pivot)  # ACD needs both pivot dictionaries
     c = CycleConstraints(min_len, max_len)
     params = InferenceParams(constraints=c, threshold=0.0)
 
